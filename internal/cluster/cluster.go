@@ -685,9 +685,9 @@ const commitSaveInterval = 25 * time.Millisecond
 //     than quorum.
 //   - An iteration that only appends (no ack to send, no commit) stages
 //     its round with no sync obligation: the persister buffers the write
-//     (storage.DeferredSync) and the fsync happens when a later round in
-//     the window carries a promise — group commit across the in-flight
-//     window, subsuming the old leader-only DeferredSync staging.
+//     (storage.GroupSync.AppendBuffered) and the fsync happens when a
+//     later round in the window carries a promise — group commit across
+//     the in-flight window.
 //
 // On a persistence failure every message of the failed round and of all
 // rounds staged after it is withheld (peers retry) and the error travels

@@ -266,19 +266,19 @@ func (n *Node) appendRound(ents []protocol.Entry) error {
 	if len(ents) == 0 {
 		return nil
 	}
-	if ds, ok := n.cfg.Stable.(storage.DeferredSync); ok {
-		return ds.AppendBuffered(ents)
+	if gs, ok := n.cfg.Stable.(storage.GroupSync); ok {
+		return gs.AppendBuffered(ents)
 	}
 	return n.cfg.Stable.Append(ents)
 }
 
 // syncAndSave retires the drain's durability obligations: flush buffered
 // entries when a promise depends on them (doSync), then persist the hard
-// state when it moved (save) — fused into one storage.GroupSync call when
-// the store offers it. On success the durable watermark (durableIdx)
-// advances, re-arming the event loop's early-release check.
+// state when it moved (save) — fused into one storage.GroupSync.SyncBatch
+// call whenever entries are flushed. On success the durable watermark
+// (durableIdx) advances, re-arming the event loop's early-release check.
 func (n *Node) syncAndSave(hs storage.HardState, save, doSync bool) error {
-	ds, deferred := n.cfg.Stable.(storage.DeferredSync)
+	gs, deferred := n.cfg.Stable.(storage.GroupSync)
 	// Under DisableBatching the persister never buffers (per-entry
 	// Appends sync themselves), so the store is effectively plain.
 	deferred = deferred && !n.cfg.DisableBatching
@@ -289,20 +289,14 @@ func (n *Node) syncAndSave(hs storage.HardState, save, doSync bool) error {
 	}
 	start := time.Now()
 	var err error
-	if gs, ok := n.cfg.Stable.(storage.GroupSync); ok && doSync {
+	if doSync {
 		// One lock acquisition retires the whole window: entries first,
 		// then hard state — the barrier's steps 1 and 2.
 		err = gs.SyncBatch(hs, save)
 	} else {
-		if doSync {
-			err = ds.Sync()
-		}
-		if err == nil && save {
-			// save without doSync reaches here on purpose: a save-only
-			// drain (commit watermark, shutdown flush) must not drag
-			// promise-free buffered entries to disk with it.
-			err = n.cfg.Stable.SaveHardState(hs)
-		}
+		// A save-only drain (commit watermark, shutdown flush) must not
+		// drag promise-free buffered entries to disk with it.
+		err = n.cfg.Stable.SaveHardState(hs)
 	}
 	n.syncNs.Add(time.Since(start).Nanoseconds())
 	if doSync {

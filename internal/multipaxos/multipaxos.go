@@ -787,12 +787,8 @@ func (e *Engine) SubmitBatch(cmds []protocol.Command) protocol.Output {
 				e.pending = append(e.pending, cmd)
 				continue
 			}
-			kind := protocol.ReplyWrite
-			if cmd.Op == protocol.OpGet {
-				kind = protocol.ReplyRead
-			}
 			out.Replies = append(out.Replies, protocol.ClientReply{
-				Kind: kind, CmdID: cmd.ID, Client: cmd.Client, Err: protocol.ErrNotLeader,
+				Kind: protocol.ReplyKindFor(cmd), CmdID: cmd.ID, Client: cmd.Client, Err: protocol.ErrNotLeader,
 			})
 		}
 	}

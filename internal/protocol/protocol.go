@@ -134,6 +134,14 @@ const (
 	ReplyRedirect
 )
 
+// ReplyKindFor maps a command's op to the reply kind its client expects.
+func ReplyKindFor(cmd Command) ReplyKind {
+	if cmd.Op == OpGet {
+		return ReplyRead
+	}
+	return ReplyWrite
+}
+
 // ClientReply is produced by an engine when a client request completes (or
 // must be redirected to another replica).
 type ClientReply struct {

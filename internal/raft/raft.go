@@ -4,139 +4,33 @@
 // erases extraneous log entries to match the leader (a state transition
 // MultiPaxos forbids), and entry terms are never overwritten, which forces
 // the §5.4.2 restriction that a leader only commits entries of its own
-// term by counting replicas.
+// term by counting.
+//
+// The engine is raftcore's, run with Raft's rules (raftcore/raft.go); this
+// package keeps Raft's configuration and its own wire message types.
 package raft
 
 import (
-	"math/rand"
-	"sort"
-
 	"raftpaxos/internal/protocol"
+	"raftpaxos/internal/raftcore"
 )
 
-// Role is the replica's current role.
-type Role uint8
-
-// Roles.
-const (
-	Follower Role = iota + 1
-	Candidate
-	Leader
+// Raft's wire messages (field order frozen; see raftcore/messages.go).
+type (
+	// MsgVoteReq is Raft's RequestVote RPC.
+	MsgVoteReq = raftcore.RaftVoteReq
+	// MsgVoteResp is Raft's RequestVote response.
+	MsgVoteResp = raftcore.RaftVoteResp
+	// MsgAppendReq is Raft's AppendEntries RPC.
+	MsgAppendReq = raftcore.RaftAppendReq
+	// MsgAppendResp is Raft's AppendEntries response.
+	MsgAppendResp = raftcore.RaftAppendResp
+	// MsgForward carries client commands from a follower to the leader.
+	MsgForward = raftcore.RaftForward
 )
 
-// Wire stability: the message types below travel the live wire through internal/wire;
-// exported field ORDER is the encoded layout and is frozen. Append new
-// fields at the end and bump the transport's wireVersion.
-//
-// MsgVoteReq is Raft's RequestVote RPC.
-type MsgVoteReq struct {
-	Term      uint64
-	LastIndex int64
-	LastTerm  uint64
-	// Commit is the candidate's commit index: with the fast write path on,
-	// a granting voter reports its log above it (MsgVoteResp.Extra) so the
-	// new leader can recover fast-accepted suffixes (protocol.ChooseFast).
-	Commit int64
-}
-
-// WireSize implements protocol.Message.
-func (m *MsgVoteReq) WireSize() int { return 32 }
-
-// MsgVoteResp is Raft's RequestVote response. Unlike Raft*, it carries no
-// log entries — except with the fast write path on, where Extra reports
-// the voter's entries above the candidate's commit index (speculative
-// fast-accepted entries carry Bal 0) for the election recovery rule.
-type MsgVoteResp struct {
-	Term    uint64
-	Granted bool
-	Extra   []protocol.Entry
-}
-
-// WireSize implements protocol.Message.
-func (m *MsgVoteResp) WireSize() int {
-	n := 9
-	for i := range m.Extra {
-		n += 24 + m.Extra[i].Cmd.WireSize()
-	}
-	return n
-}
-
-// CmdCount implements simnet.CmdCounter.
-func (m *MsgVoteResp) CmdCount() int { return len(m.Extra) }
-
-// RequiresBarrier implements protocol.BarrierMessage: a vote grant
-// promises the recorded term and vote are durable.
-func (m *MsgVoteResp) RequiresBarrier() {}
-
-// MsgAppendReq is Raft's AppendEntries RPC.
-type MsgAppendReq struct {
-	Term      uint64
-	PrevIndex int64
-	PrevTerm  uint64
-	Entries   []protocol.Entry
-	Commit    int64
-	// ReadCtx is the highest pending ReadIndex confirmation context at the
-	// leader (0 = none); the follower echoes it in its response, and a
-	// quorum of echoes proves the leader's term was still current after
-	// the reads arrived (see protocol.ReadTracker).
-	ReadCtx uint64
-	// PrevID is the command ID of the sender's entry at PrevIndex (0 =
-	// unknown/none). Only consulted when the receiver's entry at PrevIndex
-	// is speculative (fast-accepted, Bal 0): two speculative entries can
-	// share (index, term) while holding different commands, which the
-	// PrevTerm check alone cannot see.
-	PrevID uint64
-}
-
-// WireSize implements protocol.Message.
-func (m *MsgAppendReq) WireSize() int {
-	n := 48
-	for i := range m.Entries {
-		n += 24 + m.Entries[i].Cmd.WireSize()
-	}
-	return n
-}
-
-// CmdCount implements simnet.CmdCounter.
-func (m *MsgAppendReq) CmdCount() int { return len(m.Entries) }
-
-// MsgAppendResp is Raft's AppendEntries response.
-type MsgAppendResp struct {
-	Term      uint64
-	Ok        bool
-	LastIndex int64
-	// ReadCtx echoes the request's ReadIndex confirmation context. A
-	// reject still echoes: even a log mismatch acknowledges the sender's
-	// leadership at this term, which is all the read path needs.
-	ReadCtx uint64
-}
-
-// WireSize implements protocol.Message.
-func (m *MsgAppendResp) WireSize() int { return 32 }
-
-// RequiresBarrier implements protocol.BarrierMessage: an append ack
-// promises the accepted entries are durable.
-func (m *MsgAppendResp) RequiresBarrier() {}
-
-// MsgForward carries client commands from a follower to the leader
-// (etcd-style batched forwarding).
-type MsgForward struct {
-	Cmds []protocol.Command
-}
-
-// WireSize implements protocol.Message.
-func (m *MsgForward) WireSize() int {
-	n := 8
-	for i := range m.Cmds {
-		n += m.Cmds[i].WireSize()
-	}
-	return n
-}
-
-// CmdCount implements simnet.CmdCounter.
-func (m *MsgForward) CmdCount() int { return len(m.Cmds) }
-
-// Config configures a Raft replica.
+// Config configures a Raft replica. The fields mean what they mean on
+// raftcore.Config; Raft takes no hooks.
 type Config struct {
 	ID    protocol.NodeID
 	Peers []protocol.NodeID
@@ -148,1177 +42,31 @@ type Config struct {
 	Seed           int64
 	// Passive disables the election timer (for pinning a benchmark leader).
 	Passive bool
-	// ReadIndex enables the fast linearizable read path: the leader
-	// serves reads from the state machine after one leadership
-	// confirmation round, with no log append and no fsync, and followers
-	// forward reads to it. Off, reads replicate through the log like
-	// writes (Section 4.4 of the paper — the baseline the simulated
-	// figures measure).
+	// ReadIndex enables the fast linearizable read path; off, reads
+	// replicate through the log like writes (Section 4.4 of the paper —
+	// the baseline the simulated figures measure).
 	ReadIndex bool
 	// UnsafeSkipReadQuorum serves ReadIndex reads without the leadership
-	// confirmation round. Testing only: it lets the linearizability
-	// checker's sabotage regression prove the checker catches the stale
-	// reads a deposed leader then serves. Never enable in a deployment.
+	// confirmation round. Testing only; never enable in a deployment.
 	UnsafeSkipReadQuorum bool
-	// FastPath enables the one-RTT Fast Paxos write path: a follower
-	// broadcasts submissions to every replica, which accept speculatively
-	// (entry Bal 0) and ack everyone; ⌈3n/4⌉ matching acks including the
-	// leader's commit the command without the forward-to-leader round trip.
-	// Collisions fall back to the classic path automatically because the
-	// leader treats every fast accept as a forwarded submission.
+	// FastPath enables the one-RTT Fast Paxos write path.
 	FastPath bool
-}
-
-func (c *Config) withDefaults() Config {
-	out := *c
-	if out.ElectionTicks <= 0 {
-		out.ElectionTicks = 10
-	}
-	if out.HeartbeatTicks <= 0 {
-		out.HeartbeatTicks = 1
-	}
-	if out.MaxBatch <= 0 {
-		out.MaxBatch = 1024
-	}
-	if out.MaxInflight <= 0 {
-		out.MaxInflight = 16
-	}
-	return out
 }
 
 // Engine is a single Raft replica.
 type Engine struct {
-	cfg Config
-	rng *rand.Rand
-
-	term     uint64
-	votedFor protocol.NodeID
-	role     Role
-	leader   protocol.NodeID
-
-	// log is the uncompacted tail in global index space: the prefix at or
-	// below log.Base() has been folded into a snapshot and truncated away
-	// (TruncatePrefix), bounding replica memory by the tail length.
-	log    protocol.Log
-	commit int64
-
-	votes map[protocol.NodeID]bool
-
-	next     map[protocol.NodeID]int64
-	match    map[protocol.NodeID]int64
-	inflight map[protocol.NodeID]int
-
-	// provider supplies the durable snapshot image a leader ships to a
-	// peer stranded below the compaction base; xfers tracks one chunked
-	// transfer per such peer, snapAsm reassembles an inbound one.
-	provider protocol.SnapshotProvider
-	xfers    map[protocol.NodeID]*protocol.SnapshotXfer
-	snapAsm  protocol.SnapshotAssembly
-
-	elapsed   int
-	timeout   int
-	hbElapsed int
-
-	pending []protocol.Command
-	// ReadIndex state: reads tracks confirmation rounds at the leader;
-	// readBarrier is the leader's last log index at election — a read's
-	// index is clamped up to it, because entries a predecessor committed
-	// are only provably covered once this leader's own barrier entry
-	// commits (§6.4 / §8 of the Raft dissertation); pendingReads buffers
-	// reads submitted while no leader is known.
-	reads        protocol.ReadTracker
-	readBarrier  int64
-	pendingReads []protocol.Command
-
-	// Fast write path state (nil/empty unless cfg.FastPath):
-	// fast counts acks per (slot, cmd); fastMine marks commands this
-	// replica fast-submitted (it answers its own client); fastRemote marks
-	// commands the leader adopted from others' fast accepts (the submitter
-	// replies, not the arbiter); fastSeen records the slot each fast
-	// command occupies locally, making replayed MsgFastAccepts idempotent;
-	// fastDone marks slots committed through a fast quorum (stats);
-	// fastVotes holds granting voters' log reports for election recovery.
-	fast       *protocol.FastTracker
-	fastMine   map[uint64]bool
-	fastRemote map[uint64]bool
-	fastSeen   map[uint64]int64
-	fastDone   map[int64]bool
-	fastVotes  map[protocol.NodeID][]protocol.Entry
-	stats      protocol.FastStats
+	*raftcore.Engine
 }
 
 var _ protocol.Engine = (*Engine)(nil)
 
 // New builds a Raft replica.
 func New(cfg Config) *Engine {
-	c := cfg.withDefaults()
-	e := &Engine{
-		cfg:      c,
-		rng:      rand.New(rand.NewSource(c.Seed ^ int64(c.ID)<<17)),
-		votedFor: protocol.None,
-		role:     Follower,
-		leader:   protocol.None,
-	}
-	if c.FastPath {
-		e.fast = protocol.NewFastTracker(len(c.Peers))
-		e.fastMine = make(map[uint64]bool)
-		e.fastRemote = make(map[uint64]bool)
-		e.fastSeen = make(map[uint64]int64)
-		e.fastDone = make(map[int64]bool)
-	}
-	e.resetTimeout()
-	return e
-}
-
-// FastStats implements protocol.FastStatser.
-func (e *Engine) FastStats() protocol.FastStats { return e.stats }
-
-// ID implements protocol.Engine.
-func (e *Engine) ID() protocol.NodeID { return e.cfg.ID }
-
-// Leader implements protocol.Engine.
-func (e *Engine) Leader() protocol.NodeID { return e.leader }
-
-// IsLeader implements protocol.Engine.
-func (e *Engine) IsLeader() bool { return e.role == Leader }
-
-// Term returns the current term.
-func (e *Engine) Term() uint64 { return e.term }
-
-// VotedFor returns the replica voted for in the current term (None when
-// no vote was cast); live drivers persist it alongside the term.
-func (e *Engine) VotedFor() protocol.NodeID { return e.votedFor }
-
-// RestoreHardState primes term and vote from durable storage before the
-// engine processes any input, so a restarted replica cannot cast a
-// second vote in a term it already voted in.
-func (e *Engine) RestoreHardState(term uint64, votedFor protocol.NodeID) {
-	if term > e.term {
-		e.term = term
-		e.votedFor = votedFor
-	}
-}
-
-// SetSnapshotProvider implements protocol.SnapshotSender: the driver
-// wires its snapshot store so a leader can ship images to peers that
-// fell behind the compaction base.
-func (e *Engine) SetSnapshotProvider(p protocol.SnapshotProvider) { e.provider = p }
-
-// RestoreSnapshot primes the engine at a snapshot boundary before
-// RestoreLog delivers the tail: the log starts at index (whose entry had
-// term) and everything at or below it is committed.
-func (e *Engine) RestoreSnapshot(index int64, term uint64) {
-	if e.log.LastIndex() > 0 {
-		return
-	}
-	e.log.Restore(index, term, nil)
-	if index > e.commit {
-		e.commit = index
-	}
-}
-
-// RestoreLog adopts a durably logged tail after a restart, before the
-// engine processes any input; the tail continues wherever RestoreSnapshot
-// anchored the log (index 1 on a snapshot-free store). Entries are
-// persisted at accept time, so the tail normally extends past the saved
-// commit index: the suffix comes back accepted-but-uncommitted (it may
-// even conflict with the next leader's log and be overwritten), which is
-// exactly what lets a quorum-acked suffix survive a full-cluster crash.
-// Commit is clamped to the restored length.
-func (e *Engine) RestoreLog(ents []protocol.Entry, commit int64) {
-	if e.log.Len() > 0 || len(ents) == 0 {
-		return
-	}
-	if ents[0].Index != e.log.LastIndex()+1 {
-		return // tail does not meet the snapshot boundary: driver bug
-	}
-	for _, ent := range ents {
-		e.log.Append(ent)
-	}
-	if commit > e.log.LastIndex() {
-		commit = e.log.LastIndex()
-	}
-	if commit > e.commit {
-		e.commit = commit
-	}
-}
-
-// TruncatePrefix implements protocol.PrefixTruncator: drop in-memory
-// entries at or below through (clamped to the commit index). All index
-// arithmetic stays in global log-index space.
-func (e *Engine) TruncatePrefix(through int64) {
-	if through > e.commit {
-		through = e.commit
-	}
-	e.log.TruncatePrefix(through)
-}
-
-// LogLen returns the number of entries held in memory (the uncompacted
-// tail).
-func (e *Engine) LogLen() int { return e.log.Len() }
-
-// FirstIndex returns the lowest log index still held in memory.
-func (e *Engine) FirstIndex() int64 { return e.log.FirstIndex() }
-
-// CommitIndex returns the highest committed index.
-func (e *Engine) CommitIndex() int64 { return e.commit }
-
-// LastIndex returns the last log index.
-func (e *Engine) LastIndex() int64 { return e.log.LastIndex() }
-
-// EntryAt returns the entry at index i (1-based); compacted indexes
-// report false.
-func (e *Engine) EntryAt(i int64) (protocol.Entry, bool) {
-	return e.log.At(i)
-}
-
-func (e *Engine) termAt(i int64) uint64 { return e.log.TermAt(i) }
-
-func (e *Engine) quorum() int { return protocol.Quorum(len(e.cfg.Peers)) }
-
-func (e *Engine) resetTimeout() {
-	e.elapsed = 0
-	e.timeout = e.cfg.ElectionTicks + e.rng.Intn(e.cfg.ElectionTicks)
-}
-
-// Tick implements protocol.Engine.
-func (e *Engine) Tick() protocol.Output {
-	var out protocol.Output
-	if e.role == Leader {
-		e.hbElapsed++
-		if e.hbElapsed >= e.cfg.HeartbeatTicks {
-			e.hbElapsed = 0
-			e.broadcastAppend(&out, true)
-		}
-		return out
-	}
-	if e.cfg.Passive {
-		return out
-	}
-	e.elapsed++
-	if e.elapsed >= e.timeout {
-		e.campaign(&out)
-	}
-	return out
-}
-
-// Campaign forces an immediate election.
-func (e *Engine) Campaign() protocol.Output {
-	var out protocol.Output
-	e.campaign(&out)
-	return out
-}
-
-func (e *Engine) campaign(out *protocol.Output) {
-	e.term++
-	e.role = Candidate
-	// Pending confirmation rounds die with the leadership we just gave
-	// up: echoes are ignored while Candidate, and winning re-arms the
-	// tracker fresh — without this, forced re-election strands the reads.
-	e.reads.FailAll(out)
-	e.leader = protocol.None
-	e.votedFor = e.cfg.ID
-	e.votes = map[protocol.NodeID]bool{e.cfg.ID: true}
-	e.resetTimeout()
-	out.StateChanged = true
-	if e.fast != nil {
-		e.fastVotes = make(map[protocol.NodeID][]protocol.Entry)
-	}
-	req := &MsgVoteReq{Term: e.term, LastIndex: e.LastIndex(), LastTerm: e.termAt(e.LastIndex()), Commit: e.commit}
-	for _, p := range e.cfg.Peers {
-		if p == e.cfg.ID {
-			continue
-		}
-		out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: p, Msg: req})
-	}
-	if len(e.cfg.Peers) == 1 {
-		e.becomeLeader(out)
-	}
-}
-
-func (e *Engine) becomeFollower(term uint64, leader protocol.NodeID, out *protocol.Output) {
-	if term > e.term {
-		e.term = term
-		e.votedFor = protocol.None
-		out.StateChanged = true
-	}
-	e.role = Follower
-	e.xfers = nil // outbound transfers are leader state
-	// Reads awaiting confirmation die with the leadership: fail them fast
-	// so clients retry at the new leader instead of hanging (no-op unless
-	// this replica was leading).
-	e.reads.FailAll(out)
-	if leader != protocol.None {
-		e.leader = leader
-		e.flushPending(out)
-	}
-	e.resetTimeout()
-}
-
-// Step implements protocol.Engine.
-func (e *Engine) Step(from protocol.NodeID, msg protocol.Message) protocol.Output {
-	var out protocol.Output
-	switch m := msg.(type) {
-	case *MsgVoteReq:
-		e.stepVoteReq(from, m, &out)
-	case *MsgVoteResp:
-		e.stepVoteResp(from, m, &out)
-	case *MsgAppendReq:
-		e.stepAppendReq(from, m, &out)
-	case *MsgAppendResp:
-		e.stepAppendResp(from, m, &out)
-	case *protocol.MsgInstallSnapshot:
-		e.stepInstallSnapshot(from, m, &out)
-	case *protocol.MsgInstallSnapshotResp:
-		e.stepInstallSnapshotResp(from, m, &out)
-	case *MsgForward:
-		out.Merge(e.SubmitBatch(m.Cmds))
-	case *protocol.MsgReadForward:
-		out.Merge(e.SubmitReadBatch(m.Cmds))
-	case *protocol.MsgFastAccept:
-		e.stepFastAccept(from, m, &out)
-	case *protocol.MsgFastAck:
-		e.stepFastAck(from, m, &out)
-	}
-	return out
-}
-
-func (e *Engine) stepVoteReq(from protocol.NodeID, m *MsgVoteReq, out *protocol.Output) {
-	if m.Term > e.term {
-		e.becomeFollower(m.Term, protocol.None, out)
-	}
-	upToDate := m.LastTerm > e.termAt(e.LastIndex()) ||
-		(m.LastTerm == e.termAt(e.LastIndex()) && m.LastIndex >= e.LastIndex())
-	grant := m.Term == e.term &&
-		(e.votedFor == protocol.None || e.votedFor == from) &&
-		e.role != Leader && upToDate
-	resp := &MsgVoteResp{Term: e.term}
-	if grant {
-		e.votedFor = from
-		e.resetTimeout()
-		resp.Granted = true
-		out.StateChanged = true
-		if e.fast != nil {
-			// Report our log above the candidate's commit so it can run the
-			// fast-path recovery rule (ChooseFast) over the vote quorum:
-			// speculative entries (Bal 0) it has never seen may hold
-			// fast-chosen commands it must adopt.
-			lo := m.Commit + 1
-			if lo < e.log.FirstIndex() {
-				lo = e.log.FirstIndex()
-			}
-			if lo <= e.LastIndex() {
-				resp.Extra = e.log.Slice(lo, e.LastIndex())
-			}
-		}
-	}
-	out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: from, Msg: resp})
-}
-
-func (e *Engine) stepVoteResp(from protocol.NodeID, m *MsgVoteResp, out *protocol.Output) {
-	if m.Term > e.term {
-		e.becomeFollower(m.Term, protocol.None, out)
-		return
-	}
-	if e.role != Candidate || m.Term != e.term || !m.Granted {
-		return
-	}
-	e.votes[from] = true
-	if e.fastVotes != nil {
-		e.fastVotes[from] = m.Extra
-	}
-	if len(e.votes) >= e.quorum() {
-		e.becomeLeader(out)
-	}
-}
-
-func (e *Engine) becomeLeader(out *protocol.Output) {
-	e.role = Leader
-	e.leader = e.cfg.ID
-	if e.fast != nil {
-		e.adoptFastSuffix(out)
-		e.fast.Reset(e.term)
-	}
-	e.votes = nil
-	e.next = make(map[protocol.NodeID]int64, len(e.cfg.Peers))
-	e.match = make(map[protocol.NodeID]int64, len(e.cfg.Peers))
-	e.inflight = make(map[protocol.NodeID]int, len(e.cfg.Peers))
-	e.xfers = make(map[protocol.NodeID]*protocol.SnapshotXfer)
-	for _, p := range e.cfg.Peers {
-		e.next[p] = e.LastIndex() + 1
-		e.match[p] = 0
-	}
-	e.match[e.cfg.ID] = e.LastIndex()
-	e.hbElapsed = 0
-	out.StateChanged = true
-	// A no-op barrier entry lets the new leader commit its predecessors'
-	// entries despite the §5.4.2 restriction.
-	e.appendLocal(protocol.Command{Op: protocol.OpNop}, out)
-	// ReadIndex reads may not be served below the barrier entry: entries a
-	// predecessor committed are only provably reflected in our commit
-	// index once an entry of our own term (the no-op above) commits.
-	e.readBarrier = e.LastIndex()
-	e.reads.Reset(e.quorum(), e.cfg.UnsafeSkipReadQuorum)
-	e.broadcastAppend(out, true)
-	e.flushPending(out)
-}
-
-// Submit implements protocol.Engine.
-func (e *Engine) Submit(cmd protocol.Command) protocol.Output {
-	return e.SubmitBatch([]protocol.Command{cmd})
-}
-
-// SubmitBatch implements protocol.BatchSubmitter: the leader appends the
-// whole batch locally and replicates it in one AppendEntries broadcast.
-func (e *Engine) SubmitBatch(cmds []protocol.Command) protocol.Output {
-	var out protocol.Output
-	if len(cmds) == 0 {
-		return out
-	}
-	switch {
-	case e.role == Leader:
-		for _, cmd := range cmds {
-			e.appendLocal(cmd, &out)
-		}
-		e.broadcastAppend(&out, false)
-	case e.fast != nil && e.leader != protocol.None:
-		e.fastSubmit(cmds, &out)
-	case e.leader != protocol.None:
-		out.Msgs = append(out.Msgs, protocol.Envelope{
-			From: e.cfg.ID, To: e.leader,
-			Msg: &MsgForward{Cmds: append([]protocol.Command(nil), cmds...)},
-		})
-	default:
-		for _, cmd := range cmds {
-			if len(e.pending) < 4096 {
-				e.pending = append(e.pending, cmd)
-				continue
-			}
-			kind := protocol.ReplyWrite
-			if cmd.Op == protocol.OpGet {
-				kind = protocol.ReplyRead
-			}
-			out.Replies = append(out.Replies, protocol.ClientReply{
-				Kind: kind, CmdID: cmd.ID, Client: cmd.Client, Err: protocol.ErrNotLeader,
-			})
-		}
-	}
-	return out
-}
-
-// SubmitRead implements protocol.Engine: with ReadIndex enabled, the
-// leader serves the read from the state machine after one leadership
-// confirmation round — no log append, no fsync; otherwise reads
-// replicate through the log.
-func (e *Engine) SubmitRead(cmd protocol.Command) protocol.Output {
-	return e.SubmitReadBatch([]protocol.Command{cmd})
-}
-
-// SubmitReadBatch implements protocol.ReadBatchSubmitter: the whole batch
-// shares one read index and one confirmation round.
-func (e *Engine) SubmitReadBatch(cmds []protocol.Command) protocol.Output {
-	var out protocol.Output
-	if len(cmds) == 0 {
-		return out
-	}
-	for i := range cmds {
-		cmds[i].Op = protocol.OpGet
-	}
-	if !e.cfg.ReadIndex {
-		return e.SubmitBatch(cmds)
-	}
-	if e.role == Leader {
-		e.addReads(cmds, &out)
-	} else {
-		protocol.RouteReads(e.cfg.ID, e.leader, &e.pendingReads, cmds, &out)
-	}
-	return out
-}
-
-// addReads opens a ReadIndex confirmation round at the leader: the read
-// index is the commit index, clamped up to the election barrier, and a
-// heartbeat broadcast carrying the batch's ctx starts the confirmation
-// immediately instead of waiting out the heartbeat interval.
-func (e *Engine) addReads(cmds []protocol.Command, out *protocol.Output) {
-	idx := e.commit
-	if e.readBarrier > idx {
-		idx = e.readBarrier
-	}
-	e.reads.Add(cmds, idx, out)
-	if e.reads.Pending() > 0 {
-		e.broadcastAppend(out, true)
-	}
-}
-
-func (e *Engine) flushPending(out *protocol.Output) {
-	if reads := e.pendingReads; len(reads) > 0 {
-		e.pendingReads = nil
-		out.Merge(e.SubmitReadBatch(reads))
-	}
-	if len(e.pending) == 0 {
-		return
-	}
-	cmds := e.pending
-	e.pending = nil
-	if e.role == Leader {
-		for _, c := range cmds {
-			e.appendLocal(c, out)
-		}
-		e.broadcastAppend(out, false)
-		return
-	}
-	out.Msgs = append(out.Msgs, protocol.Envelope{
-		From: e.cfg.ID, To: e.leader, Msg: &MsgForward{Cmds: cmds},
-	})
-}
-
-func (e *Engine) appendLocal(cmd protocol.Command, out *protocol.Output) {
-	// In standard Raft the per-entry ballot simply mirrors the creation
-	// term and is never rewritten.
-	ent := protocol.Entry{Index: e.LastIndex() + 1, Term: e.term, Bal: e.term, Cmd: cmd}
-	e.log.Append(ent)
-	e.match[e.cfg.ID] = e.LastIndex()
-	// The leader is part of the commit quorum: its own entry must be
-	// durable before it can count itself, so the local append rides the
-	// same persist-before-ack barrier as a follower's accept.
-	out.AppendedEntries = append(out.AppendedEntries, ent)
-	out.StateChanged = true
-	if len(e.cfg.Peers) == 1 {
-		e.maybeCommit(out)
-	}
-}
-
-func (e *Engine) broadcastAppend(out *protocol.Output, heartbeat bool) {
-	for _, p := range e.cfg.Peers {
-		if p == e.cfg.ID {
-			continue
-		}
-		e.sendAppend(p, out, heartbeat)
-	}
-}
-
-func (e *Engine) sendAppend(p protocol.NodeID, out *protocol.Output, heartbeat bool) {
-	next := e.next[p]
-	if next > e.LastIndex() && !heartbeat {
-		return
-	}
-	if e.inflight[p] >= e.cfg.MaxInflight && !heartbeat {
-		return
-	}
-	if next < e.log.FirstIndex() {
-		// The compacted prefix cannot be resent entry-by-entry; start at
-		// the held tail (catching a peer up past the snapshot needs a
-		// snapshot transfer, not an append).
-		next = e.log.FirstIndex()
-	}
-	end := e.LastIndex()
-	if end > next-1+int64(e.cfg.MaxBatch) {
-		end = next - 1 + int64(e.cfg.MaxBatch)
-	}
-	var ents []protocol.Entry
-	if end >= next {
-		ents = e.log.Slice(next, end)
-	}
-	req := &MsgAppendReq{
-		Term:      e.term,
-		PrevIndex: next - 1,
-		PrevTerm:  e.termAt(next - 1),
-		Entries:   ents,
-		Commit:    e.commit,
-		ReadCtx:   e.reads.MaxCtx(),
-	}
-	if e.fast != nil {
-		if prev, ok := e.log.At(next - 1); ok {
-			req.PrevID = prev.Cmd.ID
-		}
-	}
-	// The ctx is now in flight: later reads must open a fresh one (an
-	// echo of this ctx only proves leadership up to this send).
-	e.reads.MarkSent()
-	out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: p, Msg: req})
-	if end >= next {
-		e.next[p] = end + 1
-		e.inflight[p]++
-	}
-}
-
-func (e *Engine) stepAppendReq(from protocol.NodeID, m *MsgAppendReq, out *protocol.Output) {
-	resp := &MsgAppendResp{Term: e.term, LastIndex: e.LastIndex()}
-	if m.Term < e.term {
-		out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: from, Msg: resp})
-		return
-	}
-	e.becomeFollower(m.Term, from, out)
-	resp.Term = e.term
-	// Echo the read confirmation ctx whenever we answer at the sender's
-	// term — even a log-mismatch reject acknowledges its leadership,
-	// which is all the ReadIndex round needs.
-	resp.ReadCtx = m.ReadCtx
-
-	switch {
-	case m.PrevIndex > e.LastIndex():
-		resp.LastIndex = e.LastIndex()
-	case m.PrevIndex >= e.log.Base() && e.termAt(m.PrevIndex) != m.PrevTerm:
-		// A PrevIndex below the compaction base cannot conflict: that
-		// prefix is committed, hence identical on any current leader.
-		resp.LastIndex = m.PrevIndex - 1
-	case e.fast != nil && m.PrevID != 0 && e.specConflict(m.PrevIndex, m.PrevID):
-		// Our entry at PrevIndex is speculative and names a different
-		// command: two fast accepts collided at the same (index, term),
-		// which the PrevTerm check alone cannot distinguish. Back up so
-		// the leader resends from the divergence point.
-		resp.LastIndex = m.PrevIndex - 1
-	default:
-		// Accept. Standard Raft: find the first conflicting entry, ERASE
-		// everything from there on, then append — the follower's log is
-		// forced to match the leader's, even if that shortens it. This is
-		// the transition with no MultiPaxos counterpart (Section 3).
-		// Entries at or below the compaction base are committed and
-		// snapshotted here; they can never conflict and are skipped.
-		// Everything newly written — from the first conflicting or fresh
-		// index on — is emitted for persistence before the ack leaves
-		// (Output.AppendedEntries): the store's overwriting append erases
-		// the same stale suffix the in-memory truncation did.
-		for k, ent := range m.Entries {
-			if ent.Index <= e.log.Base() {
-				continue
-			}
-			if ent.Index <= e.LastIndex() {
-				conflict := e.termAt(ent.Index) != ent.Term
-				if cur, ok := e.log.At(ent.Index); ok && cur.Bal == 0 && e.fast != nil {
-					if cur.Cmd.ID != ent.Cmd.ID {
-						// Speculative entries can collide at equal terms:
-						// the leader's copy arbitrates.
-						conflict = true
-					} else if !conflict && ent.Bal != 0 {
-						// The leader's classic copy carries the same command:
-						// ratify our speculative entry in place.
-						cur.Bal = ent.Bal
-						e.log.Set(ent.Index, cur)
-					}
-				}
-				if conflict {
-					if e.fast != nil {
-						keep := make(map[uint64]bool, len(m.Entries))
-						for j := range m.Entries {
-							keep[m.Entries[j].Cmd.ID] = true
-						}
-						e.dropSpeculative(ent.Index, keep, out)
-					}
-					e.log.TruncateSuffix(ent.Index - 1) // erase conflicting suffix
-				}
-			}
-			if ent.Index > e.LastIndex() {
-				for _, rest := range m.Entries[k:] {
-					e.log.Append(rest)
-				}
-				out.AppendedEntries = append(out.AppendedEntries, m.Entries[k:]...)
-				break
-			}
-		}
-		resp.Ok = true
-		resp.LastIndex = m.PrevIndex + int64(len(m.Entries))
-		if e.fast != nil {
-			// Ack only the verified prefix: a lost earlier append can leave
-			// unratified speculative entries below this one's range, and
-			// those are not the leader's to count toward a commit quorum.
-			for i := e.commit + 1; i <= resp.LastIndex; i++ {
-				if ent, ok := e.log.At(i); ok && ent.Bal == 0 {
-					resp.LastIndex = i - 1
-					break
-				}
-			}
-		}
-		out.StateChanged = true
-		if c := min64(m.Commit, resp.LastIndex); c > e.commit {
-			e.advanceCommit(c, out)
-		}
-		e.tryFastCommit(out)
-	}
-	out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: from, Msg: resp})
-}
-
-func (e *Engine) stepAppendResp(from protocol.NodeID, m *MsgAppendResp, out *protocol.Output) {
-	if m.Term > e.term {
-		e.becomeFollower(m.Term, protocol.None, out)
-		return
-	}
-	if e.role != Leader || m.Term != e.term {
-		return
-	}
-	if m.ReadCtx > 0 {
-		// The follower processed a message we sent while still leading:
-		// that confirms every read batch at or below the echoed ctx.
-		e.reads.Ack(from, m.ReadCtx, out)
-	}
-	if e.inflight[from] > 0 {
-		e.inflight[from]--
-	}
-	if !m.Ok {
-		e.next[from] = min64(m.LastIndex+1, e.LastIndex()+1)
-		if e.next[from] < 1 {
-			e.next[from] = 1
-		}
-		if e.next[from] < e.log.FirstIndex() {
-			// The follower needs entries below our compaction base, which
-			// log replay can never provide: ship the snapshot image instead.
-			// (Without a provider this degrades to heartbeat-cadence probes.)
-			e.beginSnapshotTransfer(from, out)
-			return
-		}
-		e.sendAppend(from, out, false)
-		return
-	}
-	if m.LastIndex > e.match[from] {
-		e.match[from] = m.LastIndex
-	}
-	if e.next[from] <= e.match[from] {
-		e.next[from] = e.match[from] + 1
-	}
-	e.maybeCommit(out)
-	if e.next[from] <= e.LastIndex() {
-		e.sendAppend(from, out, false)
-	}
-}
-
-// beginSnapshotTransfer starts (or nudges) the chunked shipment of the
-// latest durable snapshot to p, whose next index fell below the held
-// tail. Chunks are ack-paced — one in flight, advanced per response — so
-// heartbeats on the same per-peer stream are never head-of-line blocked
-// behind a multi-megabyte image.
-func (e *Engine) beginSnapshotTransfer(p protocol.NodeID, out *protocol.Output) {
-	if x, ok := e.xfers[p]; ok {
-		// Already transferring: re-send the current chunk only after a
-		// full heartbeat-cadence interval of silence (chunk or ack lost).
-		if x.Retry() {
-			if chunk := x.Chunk(e.term); chunk != nil {
-				out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: p, Msg: chunk})
-			}
-		}
-		return
-	}
-	if e.provider == nil {
-		return // no image source: heartbeat probing is all we can do
-	}
-	img, ok := e.provider.LatestSnapshotImage()
-	if !ok || img.Index+1 < e.log.FirstIndex() {
-		// No durable image, or it predates our held tail: the peer could
-		// not resume replay above it, so shipping it would not help.
-		return
-	}
-	x := &protocol.SnapshotXfer{Img: img}
-	e.xfers[p] = x
-	if chunk := x.Chunk(e.term); chunk != nil {
-		out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: p, Msg: chunk})
-	}
-}
-
-// stepInstallSnapshot receives one chunk of a leader's snapshot,
-// assembling the image and adopting it when complete: the log re-anchors
-// at the image boundary and the driver is told (Output.InstalledSnapshot)
-// to persist it and restore the state machine, after which replication
-// resumes from the snapshot index.
-func (e *Engine) stepInstallSnapshot(from protocol.NodeID, m *protocol.MsgInstallSnapshot, out *protocol.Output) {
-	resp := &protocol.MsgInstallSnapshotResp{Term: e.term, Index: m.Index}
-	if m.Term < e.term {
-		out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: from, Msg: resp})
-		return
-	}
-	e.becomeFollower(m.Term, from, out)
-	resp.Term = e.term
-	if m.Index <= e.commit {
-		// Already covered locally (duplicate transfer or a stale chunk):
-		// nothing to install; the ack lets the leader resume appends.
-		e.snapAsm.Reset()
-		resp.Installed = true
-		resp.NextOffset = m.Offset + int64(len(m.Data))
-	} else {
-		img, done, next := e.snapAsm.Accept(m)
-		if next < 0 {
-			// A better transfer is in progress: no ack, so this sender's
-			// damped retries cannot clobber the winning image's progress.
-			return
-		}
-		resp.NextOffset = next
-		if done {
-			e.installSnapshot(img, out)
-			resp.Installed = true
-		}
-	}
-	out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: from, Msg: resp})
-}
-
-// installSnapshot adopts a fully assembled image: everything at or below
-// its index is committed and lives in the image, so the in-memory log
-// re-anchors there and the driver persists the image before applying
-// anything above it. A held suffix beyond the image survives only when
-// its entry at the boundary agrees with the image's term (etcd-raft's
-// rule) — keeping a conflicting suffix would also record the conflicting
-// local term as the base term, and every resumed append at
-// PrevIndex=img.Index would then be rejected forever.
-func (e *Engine) installSnapshot(img protocol.SnapshotImage, out *protocol.Output) {
-	if img.Index <= e.commit {
-		return
-	}
-	if ent, ok := e.log.At(img.Index); ok && ent.Term == img.Term && img.Index < e.log.LastIndex() {
-		e.log.TruncatePrefix(img.Index)
-	} else {
-		e.log.Restore(img.Index, img.Term, nil)
-	}
-	e.commit = img.Index
-	out.StateChanged = true
-	out.InstalledSnapshot = &img
-}
-
-// stepInstallSnapshotResp paces an outbound transfer: each ack releases
-// the next chunk, and the final Installed ack resets the follower's
-// replication state to the snapshot boundary so pipelining resumes
-// immediately instead of stalling until the next heartbeat probe.
-func (e *Engine) stepInstallSnapshotResp(from protocol.NodeID, m *protocol.MsgInstallSnapshotResp, out *protocol.Output) {
-	if m.Term > e.term {
-		e.becomeFollower(m.Term, protocol.None, out)
-		return
-	}
-	if e.role != Leader || m.Term != e.term {
-		return
-	}
-	x := e.xfers[from]
-	if x == nil || x.Img.Index != m.Index {
-		return // ack from an older transfer
-	}
-	if m.Installed {
-		delete(e.xfers, from)
-		if m.Index > e.match[from] {
-			e.match[from] = m.Index
-		}
-		e.next[from] = e.match[from] + 1
-		e.inflight[from] = 0
-		e.maybeCommit(out)
-		if e.next[from] <= e.LastIndex() {
-			e.sendAppend(from, out, false)
-		}
-		return
-	}
-	x.Ack(m.NextOffset)
-	if chunk := x.Chunk(e.term); chunk != nil {
-		out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: from, Msg: chunk})
-	} else {
-		delete(e.xfers, from) // receiver ran past the image end: abandon
-	}
-}
-
-// maybeCommit advances commit to the quorum watermark, restricted by
-// §5.4.2: only entries of the current term may be committed by counting.
-func (e *Engine) maybeCommit(out *protocol.Output) {
-	if e.role != Leader {
-		return
-	}
-	matches := make([]int64, 0, len(e.cfg.Peers))
-	for _, p := range e.cfg.Peers {
-		matches = append(matches, e.match[p])
-	}
-	sort.Slice(matches, func(i, j int) bool { return matches[i] > matches[j] })
-	candidate := matches[e.quorum()-1]
-	// §5.4.2: walk back to the highest quorum-matched index whose entry is
-	// from the current term.
-	for candidate > e.commit && e.termAt(candidate) != e.term {
-		candidate--
-	}
-	if candidate > e.commit && e.termAt(candidate) == e.term {
-		e.advanceCommit(candidate, out)
-	}
-}
-
-func (e *Engine) advanceCommit(to int64, out *protocol.Output) {
-	for i := e.commit + 1; i <= to; i++ {
-		ent, _ := e.log.At(i)
-		reply := e.role == Leader && ent.Cmd.Client != protocol.None
-		if e.fast != nil {
-			id := ent.Cmd.ID
-			if e.fastMine[id] {
-				// The fast submitter answers its own client — it observes
-				// the quorum (or the classic fallback) directly.
-				reply = ent.Cmd.Client != protocol.None
-				if e.fastDone[i] {
-					e.stats.FastCommits++
-				} else {
-					e.stats.ClassicFallbacks++
-				}
-			} else if e.fastRemote[id] {
-				reply = false // the submitter replies, not the arbiter
-			}
-			delete(e.fastMine, id)
-			delete(e.fastRemote, id)
-			delete(e.fastSeen, id)
-			delete(e.fastDone, i)
-		}
-		out.Commits = append(out.Commits, protocol.CommitInfo{Entry: ent, Reply: reply})
-	}
-	e.commit = to
-	if e.fast != nil {
-		e.fast.Forget(to)
-	}
-}
-
-// fastSubmit runs the one-RTT write path at a follower: append the batch
-// speculatively (Bal 0) at our own log end, broadcast the commands to
-// every replica (the leader treats the broadcast as a forwarded
-// submission, making the classic path the automatic fallback and the
-// collision arbiter), and ack everyone so any replica — this one above
-// all — can observe the fast quorum.
-func (e *Engine) fastSubmit(cmds []protocol.Command, out *protocol.Output) {
-	base := e.LastIndex() + 1
-	ids := make([]uint64, len(cmds))
-	for i, cmd := range cmds {
-		ent := protocol.Entry{Index: base + int64(i), Term: e.term, Bal: 0, Cmd: cmd}
-		e.log.Append(ent)
-		out.AppendedEntries = append(out.AppendedEntries, ent)
-		ids[i] = cmd.ID
-		e.fastMine[cmd.ID] = true
-		e.fastSeen[cmd.ID] = ent.Index
-	}
-	out.StateChanged = true
-	acc := &protocol.MsgFastAccept{Cmds: append([]protocol.Command(nil), cmds...)}
-	for _, p := range e.cfg.Peers {
-		if p == e.cfg.ID {
-			continue
-		}
-		out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: p, Msg: acc})
-	}
-	e.fastAck(base, ids, out)
-}
-
-// stepFastAccept accepts a submitter's broadcast. The leader runs its
-// classic path on the commands (arbitration and fallback in one move); a
-// follower appends them speculatively at its own log end. Replays never
-// duplicate entries: a command already held is only re-acked, and only if
-// its recorded slot still holds it — acking a slot we no longer hold
-// would poison the quorum count.
-func (e *Engine) stepFastAccept(from protocol.NodeID, m *protocol.MsgFastAccept, out *protocol.Output) {
-	if e.fast == nil {
-		return
-	}
-	var fresh []protocol.Command
-	for _, cmd := range m.Cmds {
-		if slot, seen := e.fastSeen[cmd.ID]; seen {
-			if ent, ok := e.log.At(slot); ok && ent.Cmd.ID == cmd.ID {
-				e.fastAck(slot, []uint64{cmd.ID}, out)
-			}
-			continue
-		}
-		fresh = append(fresh, cmd)
-	}
-	if len(fresh) == 0 {
-		return
-	}
-	base := e.LastIndex() + 1
-	ids := make([]uint64, len(fresh))
-	if e.role == Leader {
-		for i, cmd := range fresh {
-			e.appendLocal(cmd, out)
-			ids[i] = cmd.ID
-			e.fastSeen[cmd.ID] = base + int64(i)
-			e.fastRemote[cmd.ID] = true
-		}
-		e.broadcastAppend(out, false)
-	} else {
-		if e.term == 0 {
-			return // no term yet: a fast round has no leader to arbitrate it
-		}
-		for i, cmd := range fresh {
-			ent := protocol.Entry{Index: base + int64(i), Term: e.term, Bal: 0, Cmd: cmd}
-			e.log.Append(ent)
-			out.AppendedEntries = append(out.AppendedEntries, ent)
-			ids[i] = cmd.ID
-			e.fastSeen[cmd.ID] = ent.Index
-		}
-		out.StateChanged = true
-	}
-	e.fastAck(base, ids, out)
-}
-
-// fastAck broadcasts this replica's fast ack for ids at the contiguous
-// slots base, base+1, ... and records it in the local tracker. MsgFastAck
-// is a BarrierMessage: the persist pipeline holds it until the entries it
-// covers are durable, exactly like a classic append ack.
-func (e *Engine) fastAck(base int64, ids []uint64, out *protocol.Output) {
-	ack := &protocol.MsgFastAck{Term: e.term, Base: base, IDs: ids, Leader: e.role == Leader}
-	for _, p := range e.cfg.Peers {
-		if p == e.cfg.ID {
-			continue
-		}
-		out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: p, Msg: ack})
-	}
-	e.fast.Ack(e.cfg.ID, e.term, base, ids, e.role == Leader)
-	e.tryFastCommit(out)
-}
-
-// stepFastAck records a peer's fast ack and checks for a fast commit. At
-// the leader it doubles as conflict detection: a peer acking a different
-// command at a slot we hold means its speculative suffix diverged, so
-// replication backs up to the divergence point to repair it.
-func (e *Engine) stepFastAck(from protocol.NodeID, m *protocol.MsgFastAck, out *protocol.Output) {
-	if e.fast == nil {
-		return
-	}
-	if m.Term > e.term {
-		e.becomeFollower(m.Term, protocol.None, out)
-	}
-	e.fast.Ack(from, m.Term, m.Base, m.IDs, m.Leader)
-	if e.role == Leader && m.Term == e.term {
-		clamped := false
-		for i, id := range m.IDs {
-			slot := m.Base + int64(i)
-			if ent, ok := e.log.At(slot); ok && ent.Cmd.ID != id {
-				e.stats.Conflicts++
-				if e.next[from] > slot && slot >= e.log.FirstIndex() {
-					e.next[from] = slot
-					clamped = true
-				}
-			}
-		}
-		if clamped {
-			e.sendAppend(from, out, false)
-		}
-	}
-	e.tryFastCommit(out)
-}
-
-// tryFastCommit advances the commit index through contiguously
-// fast-confirmed slots: a slot commits the moment a fast quorum —
-// leader included — acked the command our own log holds there, at the
-// current term. The leader's mandatory participation is what makes this
-// safe: its classic copy of the slot can never name a different command
-// afterwards, so the classic path can only re-confirm the choice.
-func (e *Engine) tryFastCommit(out *protocol.Output) {
-	if e.fast == nil || e.fast.Term() != e.term {
-		return
-	}
-	for {
-		slot := e.commit + 1
-		ent, ok := e.log.At(slot)
-		if !ok || !e.fast.Confirmed(slot, ent.Cmd.ID) {
-			return
-		}
-		e.fastDone[slot] = true
-		e.advanceCommit(slot, out)
-		out.StateChanged = true
-	}
-}
-
-// dropSpeculative cleans fast-path bookkeeping for entries about to be
-// truncated at or above from: their recorded slots become invalid, and
-// any fast submission of our own that loses its log position — and is
-// not in keep, about to be re-appended by the caller — is re-routed
-// through the classic path so the command still commits.
-func (e *Engine) dropSpeculative(from int64, keep map[uint64]bool, out *protocol.Output) {
-	if e.fast == nil {
-		return
-	}
-	var lost []protocol.Command
-	for i := from; i <= e.LastIndex(); i++ {
-		ent, ok := e.log.At(i)
-		if !ok || ent.Bal != 0 {
-			continue
-		}
-		id := ent.Cmd.ID
-		delete(e.fastSeen, id)
-		delete(e.fastDone, i)
-		if e.fastMine[id] && !keep[id] {
-			lost = append(lost, ent.Cmd)
-		}
-	}
-	if len(lost) == 0 {
-		return
-	}
-	if e.role != Leader && e.leader != protocol.None {
-		out.Msgs = append(out.Msgs, protocol.Envelope{
-			From: e.cfg.ID, To: e.leader, Msg: &MsgForward{Cmds: lost},
-		})
-		return
-	}
-	for _, cmd := range lost {
-		if len(e.pending) < 4096 {
-			e.pending = append(e.pending, cmd)
-		}
-	}
-}
-
-// specConflict reports whether our entry at idx names a command other
-// than id, the leader's copy. Speculative entries make this check
-// essential — they are not unique per (index, term), so the PrevTerm
-// check alone cannot see the divergence — but it guards classic entries
-// too: a mismatch there means our line diverged from the leader's and
-// backing up to overwrite is always the safe answer.
-func (e *Engine) specConflict(idx int64, id uint64) bool {
-	ent, ok := e.log.At(idx)
-	return ok && ent.Cmd.ID != id
-}
-
-// adoptFastSuffix runs the fast-path election recovery over the vote
-// quorum's log reports (protocol.ChooseFast): for every slot above our
-// commit index, adopt the value that may have been fast-chosen and
-// re-append it at our own term, so the §5.4.2 no-op barrier appended
-// right after commits the whole suffix classically. A classic (ratified)
-// entry already in place keeps its original term, exactly like standard
-// Raft.
-func (e *Engine) adoptFastSuffix(out *protocol.Output) {
-	participants := len(e.votes)
-	n := len(e.cfg.Peers)
-	maxSlot := e.LastIndex()
-	for _, ents := range e.fastVotes {
-		if l := len(ents); l > 0 && ents[l-1].Index > maxSlot {
-			maxSlot = ents[l-1].Index
-		}
-	}
-	var adopted []protocol.Entry
-	changedFrom := int64(0)
-	for slot := e.commit + 1; slot <= maxSlot; slot++ {
-		var reports []protocol.FastReport
-		own, ownHeld := e.log.At(slot)
-		if ownHeld {
-			reports = append(reports, protocol.FastReport{Bal: own.Bal, Cmd: own.Cmd})
-		}
-		for _, ents := range e.fastVotes {
-			for i := range ents {
-				if ents[i].Index == slot {
-					reports = append(reports, protocol.FastReport{Bal: ents[i].Bal, Cmd: ents[i].Cmd})
-					break
-				}
-			}
-		}
-		cmd, ok := protocol.ChooseFast(reports, participants, n)
-		if !ok {
-			break // nobody reported anything at or above this slot
-		}
-		if changedFrom == 0 && ownHeld && own.Bal > 0 && own.Cmd.ID == cmd.ID {
-			continue // ratified entry already in place: keep its term history
-		}
-		if changedFrom == 0 {
-			changedFrom = slot
-		}
-		adopted = append(adopted, protocol.Entry{Index: slot, Term: e.term, Bal: e.term, Cmd: cmd})
-	}
-	e.fastVotes = nil
-	if changedFrom == 0 {
-		return
-	}
-	keep := make(map[uint64]bool, len(adopted))
-	for i := range adopted {
-		keep[adopted[i].Cmd.ID] = true
-	}
-	e.dropSpeculative(changedFrom, keep, out)
-	e.log.TruncateSuffix(changedFrom - 1)
-	for _, ent := range adopted {
-		e.log.Append(ent)
-	}
-	out.AppendedEntries = append(out.AppendedEntries, adopted...)
-	out.StateChanged = true
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
+	return &Engine{raftcore.NewRaft(raftcore.Config{
+		ID: cfg.ID, Peers: cfg.Peers,
+		ElectionTicks: cfg.ElectionTicks, HeartbeatTicks: cfg.HeartbeatTicks,
+		MaxBatch: cfg.MaxBatch, MaxInflight: cfg.MaxInflight, Seed: cfg.Seed,
+		Passive: cfg.Passive, ReadIndex: cfg.ReadIndex,
+		UnsafeSkipReadQuorum: cfg.UnsafeSkipReadQuorum, FastPath: cfg.FastPath,
+	})}
 }

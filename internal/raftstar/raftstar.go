@@ -15,1464 +15,44 @@
 //     commit any quorum-replicated entry directly, without Raft's §5.4.2
 //     current-term restriction.
 //
-// The engine is a pure, deterministic, tick-driven state machine so the
-// same code runs under the discrete-event simulator and live transports.
+// The code says the same: the engine is raftcore's, shared with package
+// raft, and the two deltas are raftcore/raftstar.go. This package keeps
+// Raft*'s configuration and its own wire message types.
 package raftstar
 
 import (
-	"math/rand"
-	"sort"
-
 	"raftpaxos/internal/protocol"
+	"raftpaxos/internal/raftcore"
 )
 
-// Role is the replica's current role.
-type Role uint8
-
-// Roles.
-const (
-	Follower Role = iota + 1
-	Candidate
-	Leader
+// Raft*'s wire messages (field order frozen; see raftcore/messages.go).
+type (
+	// MsgVoteReq is Raft*'s requestVote (Paxos prepare / msg1a).
+	MsgVoteReq = raftcore.StarVoteReq
+	// MsgVoteResp is Raft*'s requestVoteOK (Paxos prepareOK / msg1b).
+	MsgVoteResp = raftcore.StarVoteResp
+	// MsgAppendReq is Raft*'s append (Paxos accept / msg2a).
+	MsgAppendReq = raftcore.StarAppendReq
+	// MsgAppendResp is Raft*'s appendOK (Paxos acceptOK / msg2b).
+	MsgAppendResp = raftcore.StarAppendResp
+	// MsgForward carries client commands from a follower to the leader.
+	MsgForward = raftcore.StarForward
 )
-
-// String implements fmt.Stringer.
-func (r Role) String() string {
-	switch r {
-	case Follower:
-		return "follower"
-	case Candidate:
-		return "candidate"
-	case Leader:
-		return "leader"
-	default:
-		return "unknown"
-	}
-}
-
-// Hooks are optional extension points used to port Paxos optimizations
-// onto Raft* without modifying the base protocol's state — the engine-level
-// analogue of the paper's non-mutating optimizations: every hook reads
-// Raft* state and maintains only new state of its own.
-type Hooks struct {
-	// LocalHolders is attached to append responses (Raft*-PQL: leases
-	// granted by this replica).
-	LocalHolders func() []protocol.NodeID
-	// OnAppendResp observes successful append acknowledgements at the
-	// leader (Raft*-PQL: collect reported lease holders).
-	OnAppendResp func(from protocol.NodeID, lastIndex int64, holders []protocol.NodeID)
-	// GateCommit clamps the leader's proposed commit index (Raft*-PQL:
-	// wait for every lease holder to acknowledge).
-	GateCommit func(proposed int64) int64
-	// OnAccept observes entries accepted into the local log, both on the
-	// leader when appending and on followers when receiving appends
-	// (lease conflict tracking; Mencius skip tags must hook both sides —
-	// the paper's example of a multi-action Phase2b correspondence).
-	OnAccept func(ents []protocol.Entry)
-}
 
 // Config configures a Raft* replica.
-type Config struct {
-	ID    protocol.NodeID
-	Peers []protocol.NodeID // all replicas, including ID
+type Config = raftcore.Config
 
-	// ElectionTicks is the base election timeout; the effective timeout is
-	// randomized in [ElectionTicks, 2*ElectionTicks).
-	ElectionTicks int
-	// HeartbeatTicks is the leader's heartbeat period.
-	HeartbeatTicks int
-	// MaxBatch caps entries per append message (0 = 1024).
-	MaxBatch int
-	// MaxInflight caps pipelined appends per follower (0 = 16).
-	MaxInflight int
-	// Seed feeds the deterministic election jitter RNG.
-	Seed int64
-	// Passive disables the election timer (the replica still votes and
-	// accepts appends). Benchmarks use it to pin the leader at one site.
-	Passive bool
-	// ReadIndex enables the fast linearizable read path: the leader
-	// serves reads from the state machine after one leadership
-	// confirmation round, with no log append and no fsync, and followers
-	// forward reads to it. Off, reads replicate through the log like
-	// writes (the paper's baseline).
-	ReadIndex bool
-	// UnsafeSkipReadQuorum serves ReadIndex reads without the leadership
-	// confirmation round (testing only: the linearizability checker's
-	// sabotage regression). Never enable in a deployment.
-	UnsafeSkipReadQuorum bool
-	// FastPath enables the one-RTT Fast Paxos write path: a follower
-	// broadcasts submissions to every replica, which accept speculatively
-	// (entry Bal 0) and ack everyone; ⌈3n/4⌉ matching acks including the
-	// leader's commit the command without the forward-to-leader round trip.
-	// Collisions fall back to the classic path automatically because the
-	// leader treats every fast accept as a forwarded submission.
-	FastPath bool
-
-	Hooks Hooks
-}
-
-func (c *Config) withDefaults() Config {
-	out := *c
-	if out.ElectionTicks <= 0 {
-		out.ElectionTicks = 10
-	}
-	if out.HeartbeatTicks <= 0 {
-		out.HeartbeatTicks = 1
-	}
-	if out.MaxBatch <= 0 {
-		out.MaxBatch = 1024
-	}
-	if out.MaxInflight <= 0 {
-		out.MaxInflight = 16
-	}
-	return out
-}
+// Hooks are the extension points Raft* offers ported optimizations.
+type Hooks = raftcore.Hooks
 
 // Engine is a single Raft* replica.
 type Engine struct {
-	cfg Config
-	rng *rand.Rand
-
-	term     uint64
-	votedFor protocol.NodeID
-	role     Role
-	leader   protocol.NodeID
-
-	// log is the uncompacted tail in global index space: the prefix at or
-	// below log.Base() has been folded into a snapshot and truncated away
-	// (TruncatePrefix), bounding replica memory by the tail length.
-	log    protocol.Log
-	commit int64
-	// logBal is the ballot of every entry in the log. Raft* stamps all
-	// covered entries with the append's term on every accept, so the
-	// per-entry ballots are always uniform; tracking one value avoids an
-	// O(len(log)) re-stamp per append. Entries are stamped with logBal
-	// whenever they leave the engine (vote extras, commits, EntryAt).
-	logBal uint64
-
-	// Candidate state.
-	votes    map[protocol.NodeID]bool
-	extras   map[int64]protocol.Entry // safest entry seen per index
-	extraMax int64
-
-	// Leader state.
-	next     map[protocol.NodeID]int64
-	match    map[protocol.NodeID]int64
-	inflight map[protocol.NodeID]int
-
-	// provider supplies the durable snapshot image a leader ships to a
-	// peer stranded below the compaction base; xfers tracks one chunked
-	// transfer per such peer, snapAsm reassembles an inbound one.
-	provider protocol.SnapshotProvider
-	xfers    map[protocol.NodeID]*protocol.SnapshotXfer
-	snapAsm  protocol.SnapshotAssembly
-
-	elapsed   int
-	timeout   int
-	hbElapsed int
-
-	// Commands buffered while no leader is known.
-	pending []protocol.Command
-	// ReadIndex state: reads tracks confirmation rounds at the leader;
-	// readBarrier is the leader's last log index at election (safe-value
-	// adoptions included) — every entry a predecessor might have committed
-	// sits at or below it, so a read's index is clamped up to it until the
-	// re-proposed log commits at this ballot; pendingReads buffers reads
-	// submitted while no leader is known.
-	reads        protocol.ReadTracker
-	readBarrier  int64
-	pendingReads []protocol.Command
-
-	// Fast write path state (nil/zero unless cfg.FastPath). specFrom is
-	// the fast path's amendment to the uniform log ballot: speculative
-	// (fast-accepted) entries always form a contiguous tail — fast appends
-	// land at the log end and any accepted classic append covers the whole
-	// log (never-shorten rule) — so entries at or above specFrom carry
-	// ballot 0 on emission while everything below keeps logBal; specFrom 0
-	// means no speculation. The maps mirror package raft's: fastMine =
-	// commands this replica fast-submitted, fastRemote = commands the
-	// leader adopted from others' fast accepts, fastSeen = slot each fast
-	// command occupies locally (replay dedup), fastDone = slots committed
-	// through a fast quorum, fastVotes = voters' reports for election
-	// recovery.
-	fast       *protocol.FastTracker
-	specFrom   int64
-	fastMine   map[uint64]bool
-	fastRemote map[uint64]bool
-	fastSeen   map[uint64]int64
-	fastDone   map[int64]bool
-	fastVotes  map[protocol.NodeID][]protocol.Entry
-	stats      protocol.FastStats
+	*raftcore.Engine
 }
 
 var _ protocol.Engine = (*Engine)(nil)
 
 // New builds a Raft* replica.
 func New(cfg Config) *Engine {
-	c := cfg.withDefaults()
-	e := &Engine{
-		cfg:      c,
-		rng:      rand.New(rand.NewSource(c.Seed ^ int64(c.ID)<<17)),
-		votedFor: protocol.None,
-		role:     Follower,
-		leader:   protocol.None,
-	}
-	if c.FastPath {
-		e.fast = protocol.NewFastTracker(len(c.Peers))
-		e.fastMine = make(map[uint64]bool)
-		e.fastRemote = make(map[uint64]bool)
-		e.fastSeen = make(map[uint64]int64)
-		e.fastDone = make(map[int64]bool)
-	}
-	e.resetTimeout()
-	return e
-}
-
-// FastStats implements protocol.FastStatser.
-func (e *Engine) FastStats() protocol.FastStats { return e.stats }
-
-// balAt returns the emission ballot for the entry at index i: 0 while it
-// is speculative, the uniform log ballot otherwise.
-func (e *Engine) balAt(i int64) uint64 {
-	if e.specFrom > 0 && i >= e.specFrom {
-		return 0
-	}
-	return e.logBal
-}
-
-// ID implements protocol.Engine.
-func (e *Engine) ID() protocol.NodeID { return e.cfg.ID }
-
-// Leader implements protocol.Engine.
-func (e *Engine) Leader() protocol.NodeID { return e.leader }
-
-// IsLeader implements protocol.Engine.
-func (e *Engine) IsLeader() bool { return e.role == Leader }
-
-// Term returns the current term (ballot).
-func (e *Engine) Term() uint64 { return e.term }
-
-// VotedFor returns the replica voted for in the current term (None when
-// no vote was cast); live drivers persist it alongside the term.
-func (e *Engine) VotedFor() protocol.NodeID { return e.votedFor }
-
-// RestoreHardState primes term and vote from durable storage before the
-// engine processes any input, so a restarted replica cannot cast a
-// second vote in a term it already voted in.
-func (e *Engine) RestoreHardState(term uint64, votedFor protocol.NodeID) {
-	if term > e.term {
-		e.term = term
-		e.votedFor = votedFor
-	}
-}
-
-// SetSnapshotProvider implements protocol.SnapshotSender: the driver
-// wires its snapshot store so a leader can ship images to peers that
-// fell behind the compaction base.
-func (e *Engine) SetSnapshotProvider(p protocol.SnapshotProvider) { e.provider = p }
-
-// RestoreSnapshot primes the engine at a snapshot boundary before
-// RestoreLog delivers the tail: the log starts at index, whose entry had
-// term, and everything at or below it is committed (it was applied before
-// it was snapshotted).
-func (e *Engine) RestoreSnapshot(index int64, term uint64) {
-	if e.log.LastIndex() > 0 {
-		return
-	}
-	e.log.Restore(index, term, nil)
-	if index > e.commit {
-		e.commit = index
-	}
-	if term > e.logBal {
-		e.logBal = term
-	}
-}
-
-// RestoreLog adopts a durably logged tail after a restart, before the
-// engine processes any input. The tail continues wherever RestoreSnapshot
-// anchored the log (index 1 on a snapshot-free store). The driver persists
-// entries at accept time, so the tail normally extends past the saved
-// commit index: the suffix comes back accepted-but-uncommitted, preserving
-// a quorum-acked suffix across a full-cluster crash. Commit is clamped to
-// the restored length regardless.
-func (e *Engine) RestoreLog(ents []protocol.Entry, commit int64) {
-	if e.log.Len() > 0 || len(ents) == 0 {
-		return
-	}
-	if ents[0].Index != e.log.LastIndex()+1 {
-		return // tail does not meet the snapshot boundary: driver bug
-	}
-	for _, ent := range ents {
-		e.log.Append(ent)
-	}
-	if commit > e.log.LastIndex() {
-		commit = e.log.LastIndex()
-	}
-	if commit > e.commit {
-		e.commit = commit
-	}
-	// Entries were stamped with the uniform log ballot when they left the
-	// engine; adopt the highest seen. A zero-ballot tail is a speculative
-	// fast suffix that survived the restart: restore the watermark so the
-	// entries stay marked speculative until a classic append ratifies them.
-	for _, ent := range ents {
-		if ent.Bal > e.logBal {
-			e.logBal = ent.Bal
-		}
-		if e.fast != nil && ent.Bal == 0 && ent.Term > 0 && ent.Index > e.commit && e.specFrom == 0 {
-			e.specFrom = ent.Index
-		}
-	}
-}
-
-// TruncatePrefix implements protocol.PrefixTruncator: drop in-memory
-// entries at or below through (clamped to the commit index — uncommitted
-// entries may still be rewritten and must stay). Index arithmetic stays in
-// global log-index space throughout.
-func (e *Engine) TruncatePrefix(through int64) {
-	if through > e.commit {
-		through = e.commit
-	}
-	e.log.TruncatePrefix(through)
-}
-
-// LogLen returns the number of entries held in memory (the uncompacted
-// tail) — the quantity snapshots exist to bound.
-func (e *Engine) LogLen() int { return e.log.Len() }
-
-// FirstIndex returns the lowest log index still held in memory.
-func (e *Engine) FirstIndex() int64 { return e.log.FirstIndex() }
-
-// Role returns the current role.
-func (e *Engine) Role() Role { return e.role }
-
-// CommitIndex returns the highest committed log index.
-func (e *Engine) CommitIndex() int64 { return e.commit }
-
-// LastIndex returns the last log index.
-func (e *Engine) LastIndex() int64 { return e.log.LastIndex() }
-
-// EntryAt returns the entry at index i (1-based) and whether it exists;
-// compacted indexes report false.
-func (e *Engine) EntryAt(i int64) (protocol.Entry, bool) {
-	ent, ok := e.log.At(i)
-	if !ok {
-		return protocol.Entry{}, false
-	}
-	ent.Bal = e.balAt(i)
-	return ent, true
-}
-
-func (e *Engine) termAt(i int64) uint64 { return e.log.TermAt(i) }
-
-func (e *Engine) quorum() int { return protocol.Quorum(len(e.cfg.Peers)) }
-
-func (e *Engine) resetTimeout() {
-	e.elapsed = 0
-	e.timeout = e.cfg.ElectionTicks + e.rng.Intn(e.cfg.ElectionTicks)
-}
-
-// Tick implements protocol.Engine.
-func (e *Engine) Tick() protocol.Output {
-	var out protocol.Output
-	if e.role == Leader {
-		e.hbElapsed++
-		if e.hbElapsed >= e.cfg.HeartbeatTicks {
-			e.hbElapsed = 0
-			e.broadcastAppend(&out, true)
-		}
-		return out
-	}
-	if e.cfg.Passive {
-		return out
-	}
-	e.elapsed++
-	if e.elapsed >= e.timeout {
-		e.campaign(&out)
-	}
-	return out
-}
-
-// Campaign forces an immediate election (used to bootstrap a preferred
-// leader in benchmarks and tests).
-func (e *Engine) Campaign() protocol.Output {
-	var out protocol.Output
-	e.campaign(&out)
-	return out
-}
-
-func (e *Engine) campaign(out *protocol.Output) {
-	e.term++
-	e.role = Candidate
-	// Pending confirmation rounds die with the leadership we just gave
-	// up: echoes are ignored while Candidate, and winning re-arms the
-	// tracker fresh — without this, forced re-election strands the reads.
-	e.reads.FailAll(out)
-	e.leader = protocol.None
-	e.votedFor = e.cfg.ID
-	e.votes = map[protocol.NodeID]bool{e.cfg.ID: true}
-	e.extras = make(map[int64]protocol.Entry)
-	e.extraMax = e.LastIndex()
-	e.resetTimeout()
-	out.StateChanged = true
-	if e.fast != nil {
-		e.fastVotes = make(map[protocol.NodeID][]protocol.Entry)
-	}
-	req := &MsgVoteReq{Term: e.term, LastIndex: e.LastIndex(), LastTerm: e.termAt(e.LastIndex()), Commit: e.commit}
-	for _, p := range e.cfg.Peers {
-		if p == e.cfg.ID {
-			continue
-		}
-		out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: p, Msg: req})
-	}
-	if len(e.cfg.Peers) == 1 {
-		e.becomeLeader(out)
-	}
-}
-
-func (e *Engine) becomeFollower(term uint64, leader protocol.NodeID, out *protocol.Output) {
-	if term > e.term {
-		e.term = term
-		e.votedFor = protocol.None
-		out.StateChanged = true
-	}
-	e.role = Follower
-	e.xfers = nil // outbound transfers are leader state
-	// Reads awaiting confirmation die with the leadership: fail them fast
-	// so clients retry at the new leader instead of hanging (no-op unless
-	// this replica was leading).
-	e.reads.FailAll(out)
-	if leader != protocol.None {
-		e.leader = leader
-		e.flushPending(out)
-	}
-	e.resetTimeout()
-}
-
-// Step implements protocol.Engine.
-func (e *Engine) Step(from protocol.NodeID, msg protocol.Message) protocol.Output {
-	var out protocol.Output
-	switch m := msg.(type) {
-	case *MsgVoteReq:
-		e.stepVoteReq(from, m, &out)
-	case *MsgVoteResp:
-		e.stepVoteResp(from, m, &out)
-	case *MsgAppendReq:
-		e.stepAppendReq(from, m, &out)
-	case *MsgAppendResp:
-		e.stepAppendResp(from, m, &out)
-	case *protocol.MsgInstallSnapshot:
-		e.stepInstallSnapshot(from, m, &out)
-	case *protocol.MsgInstallSnapshotResp:
-		e.stepInstallSnapshotResp(from, m, &out)
-	case *MsgForward:
-		out.Merge(e.SubmitBatch(m.Cmds))
-	case *protocol.MsgReadForward:
-		out.Merge(e.SubmitReadBatch(m.Cmds))
-	case *protocol.MsgFastAccept:
-		e.stepFastAccept(from, m, &out)
-	case *protocol.MsgFastAck:
-		e.stepFastAck(from, m, &out)
-	}
-	return out
-}
-
-func (e *Engine) stepVoteReq(from protocol.NodeID, m *MsgVoteReq, out *protocol.Output) {
-	if m.Term > e.term {
-		e.becomeFollower(m.Term, protocol.None, out)
-	}
-	upToDate := m.LastTerm > e.termAt(e.LastIndex()) ||
-		(m.LastTerm == e.termAt(e.LastIndex()) && m.LastIndex >= e.LastIndex())
-	grant := m.Term == e.term &&
-		(e.votedFor == protocol.None || e.votedFor == from) &&
-		e.role != Leader && upToDate
-	resp := &MsgVoteResp{Term: e.term, LastIndex: e.LastIndex()}
-	if grant {
-		e.votedFor = from
-		e.resetTimeout()
-		resp.Granted = true
-		out.StateChanged = true
-		// Raft* addition: ship entries beyond the candidate's log so the
-		// leader can adopt safe values (Figure 2a lines 14-15). Compacted
-		// entries cannot be shipped, but any candidate that can win a
-		// quorum is up-to-date with some replica holding the committed
-		// (hence snapshotted) prefix, so clamping to the held tail is safe.
-		// With the fast path on, the report reaches down to the candidate's
-		// commit index instead: speculative entries can diverge at indexes
-		// the up-to-date check never compares, and the recovery count rule
-		// needs every voter's copy of them.
-		lo := m.LastIndex + 1
-		if e.fast != nil {
-			lo = m.Commit + 1
-		}
-		if e.LastIndex() >= lo {
-			if lo < e.log.FirstIndex() {
-				lo = e.log.FirstIndex()
-			}
-			resp.Extra = e.log.Tail(lo)
-			for i := range resp.Extra {
-				resp.Extra[i].Bal = e.balAt(resp.Extra[i].Index)
-			}
-		}
-	}
-	out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: from, Msg: resp})
-}
-
-func (e *Engine) stepVoteResp(from protocol.NodeID, m *MsgVoteResp, out *protocol.Output) {
-	if m.Term > e.term {
-		e.becomeFollower(m.Term, protocol.None, out)
-		return
-	}
-	if e.role != Candidate || m.Term != e.term || !m.Granted {
-		return
-	}
-	e.votes[from] = true
-	for _, ent := range m.Extra {
-		cur, ok := e.extras[ent.Index]
-		// safeEntry: keep the value accepted at the highest ballot.
-		if !ok || ent.Bal > cur.Bal {
-			e.extras[ent.Index] = ent
-		}
-		if ent.Index > e.extraMax {
-			e.extraMax = ent.Index
-		}
-	}
-	if e.fastVotes != nil {
-		e.fastVotes[from] = m.Extra
-	}
-	if len(e.votes) >= e.quorum() {
-		e.becomeLeader(out)
-	}
-}
-
-func (e *Engine) becomeLeader(out *protocol.Output) {
-	if e.fast != nil {
-		// Fast-path recovery subsumes the safe-value adoption: ChooseFast
-		// picks the possibly-chosen value per slot — ratified copies by
-		// highest ballot exactly like the base rule, speculative copies by
-		// the count rule — from the candidate's commit index up.
-		e.adoptFastSuffix(out)
-		e.fast.Reset(e.term)
-	} else {
-		// Adopt safe values for every index beyond our log (Figure 2a lines
-		// 22-27): value from the highest ballot, re-proposed at our term.
-		for i := e.LastIndex() + 1; i <= e.extraMax; i++ {
-			ent, ok := e.extras[i]
-			cmd := ent.Cmd
-			if !ok {
-				// No voter had this index (gap below another voter's tail is
-				// impossible with contiguous logs, but guard anyway).
-				cmd = protocol.Command{Op: protocol.OpNop}
-			}
-			adopted := protocol.Entry{Index: i, Term: e.term, Bal: e.term, Cmd: cmd}
-			e.log.Append(adopted)
-			// Safe-value adoptions are accepted entries like any other: durable
-			// before the leadership announcement (the appends below) goes out.
-			out.AppendedEntries = append(out.AppendedEntries, adopted)
-		}
-	}
-	// Re-propose the entire log at the current ballot: every subsequent
-	// append stamps Bal = term (Figure 2b lines 6-7).
-	e.logBal = e.term
-	e.role = Leader
-	e.leader = e.cfg.ID
-	e.votes = nil
-	e.extras = nil
-	e.next = make(map[protocol.NodeID]int64, len(e.cfg.Peers))
-	e.match = make(map[protocol.NodeID]int64, len(e.cfg.Peers))
-	e.inflight = make(map[protocol.NodeID]int, len(e.cfg.Peers))
-	e.xfers = make(map[protocol.NodeID]*protocol.SnapshotXfer)
-	for _, p := range e.cfg.Peers {
-		e.next[p] = e.LastIndex() + 1
-		e.match[p] = 0
-	}
-	e.match[e.cfg.ID] = e.LastIndex()
-	if h := e.cfg.Hooks.OnAccept; h != nil && e.log.Len() > 0 {
-		h(e.log.Tail(e.log.FirstIndex()))
-	}
-	out.StateChanged = true
-	e.hbElapsed = 0
-	// ReadIndex reads may not be served below the re-proposed log's end:
-	// everything a predecessor might have committed is in the log (the
-	// vote quorum shipped every possibly-chosen entry), and is reflected
-	// in our commit index only once the re-proposal commits at this
-	// ballot. Raft* needs no no-op barrier for that — unlike Raft, it may
-	// commit the adopted entries directly by counting.
-	e.readBarrier = e.LastIndex()
-	e.reads.Reset(e.quorum(), e.cfg.UnsafeSkipReadQuorum)
-	// Replicate everything we have (also acts as the leadership announcement).
-	for _, p := range e.cfg.Peers {
-		if p == e.cfg.ID {
-			continue
-		}
-		e.next[p] = 1
-		e.sendAppend(p, out, true)
-	}
-	e.flushPending(out)
-}
-
-// Submit implements protocol.Engine.
-func (e *Engine) Submit(cmd protocol.Command) protocol.Output {
-	return e.SubmitBatch([]protocol.Command{cmd})
-}
-
-// SubmitBatch implements protocol.BatchSubmitter: the leader appends the
-// whole batch locally and replicates it in one append broadcast — the
-// MultiPaxos batched-accept optimization, which ports to Raft* unchanged.
-func (e *Engine) SubmitBatch(cmds []protocol.Command) protocol.Output {
-	var out protocol.Output
-	if len(cmds) == 0 {
-		return out
-	}
-	switch {
-	case e.role == Leader:
-		for _, cmd := range cmds {
-			e.appendLocal(cmd, &out)
-		}
-		e.broadcastAppend(&out, false)
-	case e.fast != nil && e.leader != protocol.None:
-		e.fastSubmit(cmds, &out)
-	case e.leader != protocol.None:
-		// etcd-style follower forwarding.
-		out.Msgs = append(out.Msgs, protocol.Envelope{
-			From: e.cfg.ID, To: e.leader,
-			Msg: &MsgForward{Cmds: append([]protocol.Command(nil), cmds...)},
-		})
-	default:
-		for _, cmd := range cmds {
-			if len(e.pending) < 4096 {
-				e.pending = append(e.pending, cmd)
-				continue
-			}
-			out.Replies = append(out.Replies, protocol.ClientReply{
-				Kind: ReplyKindFor(cmd), CmdID: cmd.ID, Client: cmd.Client, Err: protocol.ErrNotLeader,
-			})
-		}
-	}
-	return out
-}
-
-// ReplyKindFor maps a command's op to the reply kind the client expects.
-func ReplyKindFor(cmd protocol.Command) protocol.ReplyKind {
-	if cmd.Op == protocol.OpGet {
-		return protocol.ReplyRead
-	}
-	return protocol.ReplyWrite
-}
-
-// SubmitRead implements protocol.Engine: with ReadIndex enabled, the
-// leader serves the read from the state machine after one leadership
-// confirmation round — no log append, no fsync; otherwise Raft* serves
-// strongly consistent reads by running them through the log, exactly
-// like writes.
-func (e *Engine) SubmitRead(cmd protocol.Command) protocol.Output {
-	return e.SubmitReadBatch([]protocol.Command{cmd})
-}
-
-// SubmitReadBatch implements protocol.ReadBatchSubmitter: the whole batch
-// shares one read index and one confirmation round.
-func (e *Engine) SubmitReadBatch(cmds []protocol.Command) protocol.Output {
-	var out protocol.Output
-	if len(cmds) == 0 {
-		return out
-	}
-	for i := range cmds {
-		cmds[i].Op = protocol.OpGet
-	}
-	if !e.cfg.ReadIndex {
-		return e.SubmitBatch(cmds)
-	}
-	if e.role == Leader {
-		e.addReads(cmds, &out)
-	} else {
-		protocol.RouteReads(e.cfg.ID, e.leader, &e.pendingReads, cmds, &out)
-	}
-	return out
-}
-
-// addReads opens a ReadIndex confirmation round at the leader: the read
-// index is the commit index clamped up to the election barrier, and a
-// heartbeat broadcast carrying the batch's ctx starts the confirmation
-// immediately instead of waiting out the heartbeat interval.
-func (e *Engine) addReads(cmds []protocol.Command, out *protocol.Output) {
-	idx := e.commit
-	if e.readBarrier > idx {
-		idx = e.readBarrier
-	}
-	e.reads.Add(cmds, idx, out)
-	if e.reads.Pending() > 0 {
-		e.broadcastAppend(out, true)
-	}
-}
-
-func (e *Engine) flushPending(out *protocol.Output) {
-	if reads := e.pendingReads; len(reads) > 0 {
-		e.pendingReads = nil
-		out.Merge(e.SubmitReadBatch(reads))
-	}
-	if len(e.pending) == 0 {
-		return
-	}
-	cmds := e.pending
-	e.pending = nil
-	if e.role == Leader {
-		for _, c := range cmds {
-			e.appendLocal(c, out)
-		}
-		e.broadcastAppend(out, false)
-		return
-	}
-	out.Msgs = append(out.Msgs, protocol.Envelope{
-		From: e.cfg.ID, To: e.leader, Msg: &MsgForward{Cmds: cmds},
-	})
-}
-
-func (e *Engine) appendLocal(cmd protocol.Command, out *protocol.Output) {
-	ent := protocol.Entry{Index: e.LastIndex() + 1, Term: e.term, Bal: e.term, Cmd: cmd}
-	e.log.Append(ent)
-	e.match[e.cfg.ID] = e.LastIndex()
-	// Leader-local appends ride the persist-before-ack barrier too: the
-	// leader counts itself toward the commit quorum, so its copy must be
-	// durable before any follower ack can complete that quorum.
-	out.AppendedEntries = append(out.AppendedEntries, ent)
-	out.StateChanged = true
-	if h := e.cfg.Hooks.OnAccept; h != nil {
-		h([]protocol.Entry{ent})
-	}
-	if len(e.cfg.Peers) == 1 {
-		e.maybeCommit(out)
-	}
-}
-
-func (e *Engine) broadcastAppend(out *protocol.Output, heartbeat bool) {
-	for _, p := range e.cfg.Peers {
-		if p == e.cfg.ID {
-			continue
-		}
-		e.sendAppend(p, out, heartbeat)
-	}
-}
-
-// sendAppend ships log[next..] to p, respecting batch and inflight limits.
-// When heartbeat is set, an empty append is sent even if nothing is pending.
-func (e *Engine) sendAppend(p protocol.NodeID, out *protocol.Output, heartbeat bool) {
-	next := e.next[p]
-	if next > e.LastIndex() && !heartbeat {
-		return
-	}
-	if e.inflight[p] >= e.cfg.MaxInflight && !heartbeat {
-		return // pipelining cap; the ack will trigger the next batch
-	}
-	if next < e.log.FirstIndex() {
-		// The compacted prefix cannot be resent entry-by-entry; start at
-		// the held tail (the prefix is committed everywhere that matters —
-		// shipping state to a peer behind the snapshot needs a snapshot
-		// transfer, not an append).
-		next = e.log.FirstIndex()
-	}
-	end := e.LastIndex()
-	if end > next-1+int64(e.cfg.MaxBatch) {
-		end = next - 1 + int64(e.cfg.MaxBatch)
-	}
-	var ents []protocol.Entry
-	if end >= next {
-		ents = e.log.Slice(next, end)
-	}
-	req := &MsgAppendReq{
-		Term:      e.term,
-		PrevIndex: next - 1,
-		PrevTerm:  e.termAt(next - 1),
-		Entries:   ents,
-		Commit:    e.commit,
-		ReadCtx:   e.reads.MaxCtx(),
-	}
-	if e.fast != nil {
-		if prev, ok := e.log.At(next - 1); ok {
-			req.PrevID = prev.Cmd.ID
-		}
-	}
-	// The ctx is now in flight: later reads must open a fresh one (an
-	// echo of this ctx only proves leadership up to this send).
-	e.reads.MarkSent()
-	out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: p, Msg: req})
-	if end >= next {
-		e.next[p] = end + 1 // optimistic pipelining
-		e.inflight[p]++
-	}
-}
-
-func (e *Engine) stepAppendReq(from protocol.NodeID, m *MsgAppendReq, out *protocol.Output) {
-	resp := &MsgAppendResp{Term: e.term, LastIndex: e.LastIndex()}
-	if m.Term < e.term {
-		out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: from, Msg: resp})
-		return
-	}
-	e.becomeFollower(m.Term, from, out)
-	resp.Term = e.term
-	// Echo the read confirmation ctx whenever we answer at the sender's
-	// term — even a reject acknowledges its leadership, which is all the
-	// ReadIndex round needs.
-	resp.ReadCtx = m.ReadCtx
-
-	// With the fast path on, the never-shorten rule applies to the classic
-	// prefix only: a speculative tail (entries at or above specFrom) was
-	// never classically accepted at any ballot, so an append that covers
-	// the classic prefix but not the tail is fine — covered speculative
-	// slots are ratified or overwritten, the rest stay speculative.
-	classicEnd := e.LastIndex()
-	if e.specFrom > 0 && e.specFrom-1 < classicEnd {
-		classicEnd = e.specFrom - 1
-	}
-	end := m.PrevIndex + int64(len(m.Entries))
-	switch {
-	case m.PrevIndex > e.LastIndex():
-		// Missing entries before PrevIndex: hint our last index.
-		resp.LastIndex = e.LastIndex()
-	case m.PrevIndex >= e.log.Base() && e.termAt(m.PrevIndex) != m.PrevTerm:
-		// Conflicting predecessor: hint one before PrevIndex. A PrevIndex
-		// below our compaction base cannot conflict — everything at or
-		// below the base is committed, hence identical on any leader.
-		resp.LastIndex = m.PrevIndex - 1
-	case e.fast != nil && m.PrevID != 0 && e.specConflict(m.PrevIndex, m.PrevID):
-		// Our entry at PrevIndex is speculative and names a different
-		// command: two fast accepts collided at the same (index, term),
-		// which the PrevTerm check alone cannot distinguish. Back up so
-		// the leader resends from the divergence point.
-		resp.LastIndex = m.PrevIndex - 1
-	case end < classicEnd:
-		// Raft* addition (Figure 2b line 16): reject appends that do not
-		// cover our whole (classic) log — MultiPaxos never deletes accepted
-		// values, so neither may we. The leader will extend its proposal.
-		resp.LastIndex = classicEnd
-	default:
-		// Accept: overwrite the covered suffix, then re-stamp every ballot
-		// with the leader's term (Figure 2b: logBallot[i] = term for all i).
-		// Entries at or below the compaction base are already committed
-		// and snapshotted here; skip them. Every entry written is emitted
-		// for persistence, stamped with the accepting term as its ballot —
-		// the re-stamp is what a restarted replica's RestoreLog rebuilds
-		// the uniform log ballot from — and must be durable before the ack
-		// leaves (Output.AppendedEntries).
-		if e.fast != nil && e.specFrom > 0 && e.specFrom <= end {
-			// Covered speculative slots leave speculation now: clean the
-			// bookkeeping for commands the leader's copies displace, and
-			// re-route any fast submission of our own that lost its slot
-			// and is not carried elsewhere in this append.
-			keep := make(map[uint64]bool, len(m.Entries))
-			for j := range m.Entries {
-				keep[m.Entries[j].Cmd.ID] = true
-			}
-			var lost []protocol.Command
-			start := e.specFrom
-			if start <= m.PrevIndex {
-				start = m.PrevIndex + 1
-			}
-			for slot := start; slot <= min64(end, e.LastIndex()); slot++ {
-				old, ok := e.log.At(slot)
-				if !ok {
-					continue
-				}
-				in := m.Entries[slot-m.PrevIndex-1]
-				if old.Cmd.ID == in.Cmd.ID {
-					continue // ratified in place
-				}
-				delete(e.fastSeen, old.Cmd.ID)
-				delete(e.fastDone, slot)
-				if e.fastMine[old.Cmd.ID] && !keep[old.Cmd.ID] {
-					lost = append(lost, old.Cmd)
-				}
-			}
-			e.routeLost(lost, out)
-			// The watermark advances only when the append covered the whole
-			// speculative prefix: a lost earlier append leaves slots below
-			// PrevIndex unverified, and they must stay speculative until
-			// the leader's resend covers them.
-			if e.specFrom > m.PrevIndex {
-				e.specFrom = end + 1
-				if e.specFrom > e.LastIndex() {
-					e.specFrom = 0
-				}
-			}
-		}
-		for _, ent := range m.Entries {
-			if ent.Index <= e.log.Base() {
-				continue
-			}
-			if ent.Index <= e.LastIndex() {
-				e.log.Set(ent.Index, ent)
-			} else {
-				e.log.Append(ent)
-			}
-			ent.Bal = m.Term
-			out.AppendedEntries = append(out.AppendedEntries, ent)
-		}
-		e.logBal = m.Term
-		if h := e.cfg.Hooks.OnAccept; h != nil && len(m.Entries) > 0 {
-			h(m.Entries)
-		}
-		resp.Ok = true
-		// Report the verified prefix: with a speculative tail left beyond
-		// this append's end, only entries below it are known to match the
-		// leader (the tail is not the leader's to count yet).
-		resp.LastIndex = e.LastIndex()
-		if e.specFrom > 0 && e.specFrom-1 < resp.LastIndex {
-			resp.LastIndex = e.specFrom - 1
-		}
-		out.StateChanged = true
-		if h := e.cfg.Hooks.LocalHolders; h != nil {
-			resp.Holders = h()
-		}
-		if c := min64(m.Commit, resp.LastIndex); c > e.commit {
-			e.advanceCommit(c, out)
-		}
-		e.tryFastCommit(out)
-	}
-	out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: from, Msg: resp})
-}
-
-func (e *Engine) stepAppendResp(from protocol.NodeID, m *MsgAppendResp, out *protocol.Output) {
-	if m.Term > e.term {
-		e.becomeFollower(m.Term, protocol.None, out)
-		return
-	}
-	if e.role != Leader || m.Term != e.term {
-		return
-	}
-	if m.ReadCtx > 0 {
-		// The follower processed a message we sent while still leading:
-		// that confirms every read batch at or below the echoed ctx.
-		e.reads.Ack(from, m.ReadCtx, out)
-	}
-	if e.inflight[from] > 0 {
-		e.inflight[from]--
-	}
-	if !m.Ok {
-		// Either the follower is behind (resend from its hint) or its log
-		// is longer than ours (extend with safe no-op proposals: indexes
-		// past a fresh leader's log are provably uncommitted, because the
-		// vote quorum shipped every possibly-chosen entry).
-		if m.LastIndex > e.LastIndex() {
-			for i := e.LastIndex() + 1; i <= m.LastIndex; i++ {
-				e.appendLocal(protocol.Command{Op: protocol.OpNop}, out)
-			}
-		}
-		e.next[from] = min64(m.LastIndex+1, e.LastIndex()+1)
-		if e.next[from] < 1 {
-			e.next[from] = 1
-		}
-		if e.next[from] < e.log.FirstIndex() {
-			// The follower needs entries below our compaction base, which
-			// log replay can never provide: ship the snapshot image instead.
-			// (Without a provider this degrades to heartbeat-cadence probes.)
-			e.beginSnapshotTransfer(from, out)
-			return
-		}
-		e.sendAppend(from, out, false)
-		return
-	}
-	if m.LastIndex > e.match[from] {
-		e.match[from] = m.LastIndex
-	}
-	if e.next[from] <= e.match[from] {
-		e.next[from] = e.match[from] + 1
-	}
-	if h := e.cfg.Hooks.OnAppendResp; h != nil {
-		h(from, m.LastIndex, m.Holders)
-	}
-	e.maybeCommit(out)
-	// Continue pipelining if the follower is still behind.
-	if e.next[from] <= e.LastIndex() {
-		e.sendAppend(from, out, false)
-	}
-}
-
-// beginSnapshotTransfer starts (or nudges) the chunked shipment of the
-// latest durable snapshot to p, whose next index fell below the held
-// tail. Chunks are ack-paced — one in flight, advanced per response — so
-// heartbeats on the same per-peer stream are never head-of-line blocked
-// behind a multi-megabyte image. This is the same mechanism the raft and
-// multipaxos engines use: the transfer machinery ports across the family
-// unchanged, like the paper's other optimizations.
-func (e *Engine) beginSnapshotTransfer(p protocol.NodeID, out *protocol.Output) {
-	if x, ok := e.xfers[p]; ok {
-		// Already transferring: re-send the current chunk only after a
-		// full heartbeat-cadence interval of silence (chunk or ack lost).
-		if x.Retry() {
-			if chunk := x.Chunk(e.term); chunk != nil {
-				out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: p, Msg: chunk})
-			}
-		}
-		return
-	}
-	if e.provider == nil {
-		return // no image source: heartbeat probing is all we can do
-	}
-	img, ok := e.provider.LatestSnapshotImage()
-	if !ok || img.Index+1 < e.log.FirstIndex() {
-		// No durable image, or it predates our held tail: the peer could
-		// not resume replay above it, so shipping it would not help.
-		return
-	}
-	x := &protocol.SnapshotXfer{Img: img}
-	e.xfers[p] = x
-	if chunk := x.Chunk(e.term); chunk != nil {
-		out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: p, Msg: chunk})
-	}
-}
-
-// stepInstallSnapshot receives one chunk of a leader's snapshot,
-// assembling the image and adopting it when complete: the log re-anchors
-// at the image boundary and the driver is told (Output.InstalledSnapshot)
-// to persist it and restore the state machine, after which replication
-// resumes from the snapshot index.
-func (e *Engine) stepInstallSnapshot(from protocol.NodeID, m *protocol.MsgInstallSnapshot, out *protocol.Output) {
-	resp := &protocol.MsgInstallSnapshotResp{Term: e.term, Index: m.Index}
-	if m.Term < e.term {
-		out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: from, Msg: resp})
-		return
-	}
-	e.becomeFollower(m.Term, from, out)
-	resp.Term = e.term
-	if m.Index <= e.commit {
-		// Already covered locally (duplicate transfer or a stale chunk):
-		// nothing to install; the ack lets the leader resume appends.
-		e.snapAsm.Reset()
-		resp.Installed = true
-		resp.NextOffset = m.Offset + int64(len(m.Data))
-	} else {
-		img, done, next := e.snapAsm.Accept(m)
-		if next < 0 {
-			// A better transfer is in progress: no ack, so this sender's
-			// damped retries cannot clobber the winning image's progress.
-			return
-		}
-		resp.NextOffset = next
-		if done {
-			e.installSnapshot(img, out)
-			resp.Installed = true
-		}
-	}
-	out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: from, Msg: resp})
-}
-
-// installSnapshot adopts a fully assembled image: everything at or below
-// its index is chosen and lives in the image, so the in-memory log
-// re-anchors there and the driver persists the image before applying
-// anything above it. A held suffix beyond the image survives only when
-// its entry at the boundary agrees with the image's term (etcd-raft's
-// rule) — keeping a conflicting suffix would also record the conflicting
-// local term as the base term, and every resumed append at
-// PrevIndex=img.Index would then be rejected forever.
-func (e *Engine) installSnapshot(img protocol.SnapshotImage, out *protocol.Output) {
-	if img.Index <= e.commit {
-		return
-	}
-	if ent, ok := e.log.At(img.Index); ok && ent.Term == img.Term && img.Index < e.log.LastIndex() {
-		e.log.TruncatePrefix(img.Index)
-	} else {
-		e.log.Restore(img.Index, img.Term, nil)
-	}
-	e.commit = img.Index
-	if img.Term > e.logBal {
-		e.logBal = img.Term
-	}
-	if e.specFrom > 0 && e.specFrom <= e.commit {
-		e.specFrom = e.commit + 1
-		if e.specFrom > e.LastIndex() {
-			e.specFrom = 0
-		}
-	}
-	out.StateChanged = true
-	out.InstalledSnapshot = &img
-}
-
-// stepInstallSnapshotResp paces an outbound transfer: each ack releases
-// the next chunk, and the final Installed ack resets the follower's
-// replication state to the snapshot boundary so pipelining resumes
-// immediately instead of stalling until the next heartbeat probe.
-func (e *Engine) stepInstallSnapshotResp(from protocol.NodeID, m *protocol.MsgInstallSnapshotResp, out *protocol.Output) {
-	if m.Term > e.term {
-		e.becomeFollower(m.Term, protocol.None, out)
-		return
-	}
-	if e.role != Leader || m.Term != e.term {
-		return
-	}
-	x := e.xfers[from]
-	if x == nil || x.Img.Index != m.Index {
-		return // ack from an older transfer
-	}
-	if m.Installed {
-		delete(e.xfers, from)
-		if m.Index > e.match[from] {
-			e.match[from] = m.Index
-		}
-		e.next[from] = e.match[from] + 1
-		e.inflight[from] = 0
-		e.maybeCommit(out)
-		if e.next[from] <= e.LastIndex() {
-			e.sendAppend(from, out, false)
-		}
-		return
-	}
-	x.Ack(m.NextOffset)
-	if chunk := x.Chunk(e.term); chunk != nil {
-		out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: from, Msg: chunk})
-	} else {
-		delete(e.xfers, from) // receiver ran past the image end: abandon
-	}
-}
-
-// maybeCommit advances the leader's commit index to the quorum-replicated
-// watermark. Raft* needs no §5.4.2 current-term check: every acknowledged
-// entry was re-stamped to the current ballot, exactly like a MultiPaxos
-// re-proposal.
-func (e *Engine) maybeCommit(out *protocol.Output) {
-	if e.role != Leader {
-		return
-	}
-	matches := make([]int64, 0, len(e.cfg.Peers))
-	for _, p := range e.cfg.Peers {
-		matches = append(matches, e.match[p])
-	}
-	sort.Slice(matches, func(i, j int) bool { return matches[i] > matches[j] })
-	candidate := matches[e.quorum()-1]
-	if gate := e.cfg.Hooks.GateCommit; gate != nil {
-		candidate = gate(candidate)
-	}
-	if candidate > e.commit {
-		e.advanceCommit(candidate, out)
-	}
-}
-
-func (e *Engine) advanceCommit(to int64, out *protocol.Output) {
-	for i := e.commit + 1; i <= to; i++ {
-		ent, _ := e.log.At(i)
-		ent.Bal = e.balAt(i)
-		// Reply routing with the fast path on: the submitter answers for its
-		// own fast commands (it holds the client connection); the leader
-		// stays quiet for fast commands it adopted from others, and answers
-		// for everything else as usual.
-		reply := e.role == Leader && ent.Cmd.Client != protocol.None
-		if e.fast != nil {
-			id := ent.Cmd.ID
-			switch {
-			case e.fastMine[id]:
-				reply = ent.Cmd.Client != protocol.None
-				if e.fastDone[i] {
-					e.stats.FastCommits++
-				} else {
-					e.stats.ClassicFallbacks++
-				}
-			case e.fastRemote[id]:
-				reply = false
-			}
-			delete(e.fastMine, id)
-			delete(e.fastRemote, id)
-			delete(e.fastSeen, id)
-			delete(e.fastDone, i)
-		}
-		out.Commits = append(out.Commits, protocol.CommitInfo{Entry: ent, Reply: reply})
-	}
-	e.commit = to
-	if e.fast != nil {
-		// Committed slots are chosen and leave speculation by definition.
-		if e.specFrom > 0 && e.specFrom <= to {
-			e.specFrom = to + 1
-			if e.specFrom > e.LastIndex() {
-				e.specFrom = 0
-			}
-		}
-		e.fast.Forget(to)
-	}
-}
-
-// fastSubmit runs the one-RTT write path as a submitter: append the batch
-// speculatively (ballot 0 — no leader has accepted it), broadcast the
-// proposal to every replica, and ack it ourselves. The entries ride the
-// persist barrier like any accepted entry: our own ack counts toward the
-// fast quorum, so our copy must be durable first.
-func (e *Engine) fastSubmit(cmds []protocol.Command, out *protocol.Output) {
-	base := e.LastIndex() + 1
-	ids := make([]uint64, len(cmds))
-	for i, cmd := range cmds {
-		ent := protocol.Entry{Index: base + int64(i), Term: e.term, Bal: 0, Cmd: cmd}
-		e.log.Append(ent)
-		out.AppendedEntries = append(out.AppendedEntries, ent)
-		ids[i] = cmd.ID
-		e.fastMine[cmd.ID] = true
-		e.fastSeen[cmd.ID] = ent.Index
-	}
-	if e.specFrom == 0 {
-		e.specFrom = base
-	}
-	out.StateChanged = true
-	acc := &protocol.MsgFastAccept{Cmds: append([]protocol.Command(nil), cmds...)}
-	for _, p := range e.cfg.Peers {
-		if p == e.cfg.ID {
-			continue
-		}
-		out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: p, Msg: acc})
-	}
-	e.fastAck(base, ids, out)
-}
-
-// stepFastAccept accepts a submitter's broadcast. The leader runs its
-// classic path on the commands (arbitration and fallback in one move); a
-// follower appends them speculatively at its own log end. Replays never
-// duplicate entries: a command already held is only re-acked, and only if
-// its recorded slot still holds it — acking a slot we no longer hold
-// would poison the quorum count.
-func (e *Engine) stepFastAccept(from protocol.NodeID, m *protocol.MsgFastAccept, out *protocol.Output) {
-	if e.fast == nil {
-		return
-	}
-	var fresh []protocol.Command
-	for _, cmd := range m.Cmds {
-		if slot, seen := e.fastSeen[cmd.ID]; seen {
-			if ent, ok := e.log.At(slot); ok && ent.Cmd.ID == cmd.ID {
-				e.fastAck(slot, []uint64{cmd.ID}, out)
-			}
-			continue
-		}
-		fresh = append(fresh, cmd)
-	}
-	if len(fresh) == 0 {
-		return
-	}
-	base := e.LastIndex() + 1
-	ids := make([]uint64, len(fresh))
-	if e.role == Leader {
-		for i, cmd := range fresh {
-			e.appendLocal(cmd, out)
-			ids[i] = cmd.ID
-			e.fastSeen[cmd.ID] = base + int64(i)
-			e.fastRemote[cmd.ID] = true
-		}
-		e.broadcastAppend(out, false)
-	} else {
-		if e.term == 0 {
-			return // no term yet: a fast round has no leader to arbitrate it
-		}
-		for i, cmd := range fresh {
-			ent := protocol.Entry{Index: base + int64(i), Term: e.term, Bal: 0, Cmd: cmd}
-			e.log.Append(ent)
-			out.AppendedEntries = append(out.AppendedEntries, ent)
-			ids[i] = cmd.ID
-			e.fastSeen[cmd.ID] = ent.Index
-		}
-		if e.specFrom == 0 {
-			e.specFrom = base
-		}
-		out.StateChanged = true
-	}
-	e.fastAck(base, ids, out)
-}
-
-// fastAck broadcasts this replica's fast ack for ids at the contiguous
-// slots base, base+1, ... and records it in the local tracker. MsgFastAck
-// is a BarrierMessage: the persist pipeline holds it until the entries it
-// covers are durable, exactly like a classic append ack.
-func (e *Engine) fastAck(base int64, ids []uint64, out *protocol.Output) {
-	ack := &protocol.MsgFastAck{Term: e.term, Base: base, IDs: ids, Leader: e.role == Leader}
-	for _, p := range e.cfg.Peers {
-		if p == e.cfg.ID {
-			continue
-		}
-		out.Msgs = append(out.Msgs, protocol.Envelope{From: e.cfg.ID, To: p, Msg: ack})
-	}
-	e.fast.Ack(e.cfg.ID, e.term, base, ids, e.role == Leader)
-	e.tryFastCommit(out)
-}
-
-// stepFastAck records a peer's fast ack and checks for a fast commit. At
-// the leader it doubles as conflict detection: a peer acking a different
-// command at a slot we hold means its speculative suffix diverged, so
-// replication backs up to the divergence point to repair it.
-func (e *Engine) stepFastAck(from protocol.NodeID, m *protocol.MsgFastAck, out *protocol.Output) {
-	if e.fast == nil {
-		return
-	}
-	if m.Term > e.term {
-		e.becomeFollower(m.Term, protocol.None, out)
-	}
-	e.fast.Ack(from, m.Term, m.Base, m.IDs, m.Leader)
-	if e.role == Leader && m.Term == e.term {
-		clamped := false
-		for i, id := range m.IDs {
-			slot := m.Base + int64(i)
-			if ent, ok := e.log.At(slot); ok && ent.Cmd.ID != id {
-				e.stats.Conflicts++
-				if e.next[from] > slot && slot >= e.log.FirstIndex() {
-					e.next[from] = slot
-					clamped = true
-				}
-			}
-		}
-		if clamped {
-			e.sendAppend(from, out, false)
-		}
-	}
-	e.tryFastCommit(out)
-}
-
-// tryFastCommit advances the commit index through contiguously
-// fast-confirmed slots: a slot commits the moment a fast quorum —
-// leader included — acked the command our own log holds there, at the
-// current term. The leader's mandatory participation is what makes this
-// safe: its classic copy of the slot can never name a different command
-// afterwards, so the classic path can only re-confirm the choice.
-func (e *Engine) tryFastCommit(out *protocol.Output) {
-	if e.fast == nil || e.fast.Term() != e.term {
-		return
-	}
-	for {
-		slot := e.commit + 1
-		ent, ok := e.log.At(slot)
-		if !ok || !e.fast.Confirmed(slot, ent.Cmd.ID) {
-			return
-		}
-		e.fastDone[slot] = true
-		e.advanceCommit(slot, out)
-		out.StateChanged = true
-	}
-}
-
-// routeLost re-routes fast submissions of our own that lost their log
-// position through the classic path, so the commands still commit.
-func (e *Engine) routeLost(lost []protocol.Command, out *protocol.Output) {
-	if len(lost) == 0 {
-		return
-	}
-	if e.role != Leader && e.leader != protocol.None {
-		out.Msgs = append(out.Msgs, protocol.Envelope{
-			From: e.cfg.ID, To: e.leader, Msg: &MsgForward{Cmds: lost},
-		})
-		return
-	}
-	for _, cmd := range lost {
-		if len(e.pending) < 4096 {
-			e.pending = append(e.pending, cmd)
-		}
-	}
-}
-
-// specConflict reports whether our entry at idx names a command other
-// than id, the leader's copy. Speculative entries make this check
-// essential — they are not unique per (index, term), so the PrevTerm
-// check alone cannot see the divergence — but it guards classic entries
-// too: a mismatch there means our line diverged from the leader's and
-// backing up to overwrite is always the safe answer.
-func (e *Engine) specConflict(idx int64, id uint64) bool {
-	ent, ok := e.log.At(idx)
-	return ok && ent.Cmd.ID != id
-}
-
-// adoptFastSuffix runs the fast-path election recovery over the vote
-// quorum's log reports (protocol.ChooseFast): for every slot above our
-// commit index, pick the value that may have been fast-chosen — ratified
-// copies by highest ballot, exactly the base safe-value rule; speculative
-// copies by the count rule — and install it in our own log. Unlike raft,
-// no term rewrite is needed: Raft* re-proposes the whole log at the new
-// ballot anyway (logBal = term right after), which is the classic
-// re-proposal Fast Paxos recovery calls for.
-func (e *Engine) adoptFastSuffix(out *protocol.Output) {
-	participants := len(e.votes)
-	n := len(e.cfg.Peers)
-	var displaced []protocol.Command
-	chosen := make(map[uint64]bool)
-	rewriting := false
-	for slot := e.commit + 1; slot <= e.extraMax; slot++ {
-		var reports []protocol.FastReport
-		own, ownHeld := e.log.At(slot)
-		if ownHeld {
-			reports = append(reports, protocol.FastReport{Bal: e.balAt(slot), Cmd: own.Cmd})
-		}
-		for _, ents := range e.fastVotes {
-			for i := range ents {
-				if ents[i].Index == slot {
-					reports = append(reports, protocol.FastReport{Bal: ents[i].Bal, Cmd: ents[i].Cmd})
-					break
-				}
-			}
-		}
-		cmd, ok := protocol.ChooseFast(reports, participants, n)
-		if !ok {
-			break // nobody reported anything at or above this slot
-		}
-		chosen[cmd.ID] = true
-		if !rewriting && ownHeld && own.Cmd.ID == cmd.ID && e.balAt(slot) > 0 {
-			// Ratified in place: classic entries are unique per (index, term),
-			// so the entry's term history can stand and the uniform re-stamp
-			// ratifies it at our ballot.
-			continue
-		}
-		// From the first slot whose entry changes — in content, or merely
-		// from speculative to classic — the rest of the suffix is rewritten
-		// at our term. A kept speculative value must NOT keep its entry term:
-		// speculative entries are not unique per (index, term) — a replica
-		// that classically accepted a different command at this slot under an
-		// older leader carries the same term there, and only a fresh term
-		// here lets the append boundary check (PrevTerm) expose the
-		// divergence to that replica. Rewriting everything from the first
-		// change also keeps the emitted suffix contiguous for the WAL.
-		rewriting = true
-		adopted := protocol.Entry{Index: slot, Term: e.term, Bal: e.term, Cmd: cmd}
-		if ownHeld {
-			if own.Cmd.ID != cmd.ID {
-				delete(e.fastSeen, own.Cmd.ID)
-				delete(e.fastDone, slot)
-				if e.fastMine[own.Cmd.ID] {
-					displaced = append(displaced, own.Cmd)
-				}
-			}
-			e.log.Set(slot, adopted)
-		} else {
-			e.log.Append(adopted)
-		}
-		// Adoptions are accepted entries like any other: durable before the
-		// leadership announcement goes out.
-		out.AppendedEntries = append(out.AppendedEntries, adopted)
-	}
-	e.fastVotes = nil
-	e.specFrom = 0 // the whole log is classically re-proposed at our ballot
-	var lost []protocol.Command
-	for _, cmd := range displaced {
-		if !chosen[cmd.ID] {
-			lost = append(lost, cmd)
-		}
-	}
-	e.routeLost(lost, out)
-	if rewriting {
-		out.StateChanged = true
-	}
-}
-
-// RecheckCommit re-evaluates the commit gate (Raft*-PQL calls it when a
-// lease expires, which may unblock writes waiting on a dead holder).
-func (e *Engine) RecheckCommit() protocol.Output {
-	var out protocol.Output
-	e.maybeCommit(&out)
-	return out
-}
-
-// Peers returns the configured peer set.
-func (e *Engine) Peers() []protocol.NodeID {
-	return append([]protocol.NodeID(nil), e.cfg.Peers...)
-}
-
-// MatchIndex returns the leader's view of how much of the log peer p has
-// acknowledged this term (0 when not leader).
-func (e *Engine) MatchIndex(p protocol.NodeID) int64 {
-	if e.role != Leader {
-		return 0
-	}
-	return e.match[p]
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
+	return &Engine{raftcore.NewRaftStar(cfg)}
 }

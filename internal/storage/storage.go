@@ -105,35 +105,36 @@ type SnapshotStore interface {
 	InstallSnapshot(snap Snapshot) error
 }
 
-// DeferredSync is an optional Store extension for drivers that group
-// commit across event-loop iterations: AppendBuffered stages entries in
-// the log's write path without forcing them to disk, and Sync makes
-// everything staged durable with one fsync. A driver may buffer appends
-// exactly while nothing observable depends on them — the moment an ack, a
-// client reply, or a commit that counts the local copy toward a quorum is
-// about to be released, it must Sync first. Reads (Entries/LastIndex)
-// see buffered entries immediately; a crash before Sync loses them, which
-// is indistinguishable from crashing before the append.
-type DeferredSync interface {
+// GroupSync is an optional Store extension for drivers that group commit
+// and pipeline persistence off their event loop. AppendBuffered stages
+// entries in the log's write path without forcing them to disk; SyncBatch
+// is the combined entry+hardstate flush of one pipeline window. It makes
+// every staged append durable (no-op when the log is clean) and, when save
+// is set, durably rewrites the hard state afterwards — the barrier order
+// (entries first, then hard state) under a single lock acquisition, so a
+// persister goroutine retires a whole window of staged rounds with one
+// call. A driver may leave appends staged exactly while nothing
+// observable depends on them — the moment an ack, a client reply, or a
+// commit that counts the local copy toward a quorum is about to be
+// released, it must flush first. Reads (Entries/LastIndex) see staged
+// entries immediately; a crash before the flush loses them, which is
+// indistinguishable from crashing before the append.
+type GroupSync interface {
 	// AppendBuffered is Append minus the durability barrier.
 	AppendBuffered(entries []protocol.Entry) error
-	// Sync makes every buffered append durable (no-op when clean).
-	Sync() error
-}
-
-// GroupSync is an optional Store extension for drivers that pipeline
-// persistence off their event loop: SyncBatch is the combined
-// entry+hardstate flush of one pipeline window. It makes every append
-// staged by AppendBuffered durable (no-op when the log is clean) and,
-// when save is set, durably rewrites the hard state afterwards — the
-// barrier order (entries first, then hard state) under a single lock
-// acquisition, so a persister goroutine retires a whole window of staged
-// rounds with one call.
-type GroupSync interface {
-	DeferredSync
 	// SyncBatch flushes buffered entries and, when save is set, persists
 	// hs, in that order.
 	SyncBatch(hs HardState, save bool) error
+}
+
+// DeferredSync is the entries-only flush of a GroupSync store: Sync makes
+// every staged append durable without touching the hard state.
+//
+// Deprecated: the runtime flushes through GroupSync.SyncBatch. Sync
+// remains for tests that force a staged tail to disk before simulating a
+// crash.
+type DeferredSync interface {
+	Sync() error
 }
 
 // ErrOutOfRange is returned for reads beyond the stored log.
@@ -850,16 +851,12 @@ func (f *File) Append(entries []protocol.Entry) error {
 	return f.append(entries, true)
 }
 
-// AppendBuffered implements DeferredSync: stage the batch without the
+// AppendBuffered implements GroupSync: stage the batch without the
 // fsync. The frames live in the buffered writer (and the read cache)
-// until the next Sync — or Append — makes them durable.
+// until the next SyncBatch, Sync or Append makes them durable.
 func (f *File) AppendBuffered(entries []protocol.Entry) error {
 	return f.append(entries, false)
 }
-
-var (
-	_ DeferredSync = (*File)(nil)
-)
 
 func (f *File) append(entries []protocol.Entry, sync bool) error {
 	if len(entries) == 0 {
@@ -912,8 +909,8 @@ func (f *File) append(entries []protocol.Entry, sync bool) error {
 	return f.syncLocked()
 }
 
-// Sync implements DeferredSync: flush and fsync everything staged by
-// AppendBuffered. A clean log costs nothing.
+// Sync flushes and fsyncs everything staged by AppendBuffered, leaving
+// the hard state alone. A clean log costs nothing.
 func (f *File) Sync() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -942,7 +939,10 @@ func (f *File) SyncBatch(hs HardState, save bool) error {
 	return nil
 }
 
-var _ GroupSync = (*File)(nil)
+var (
+	_ GroupSync    = (*File)(nil)
+	_ DeferredSync = (*File)(nil)
+)
 
 // syncLocked flushes the write buffer, fsyncs the active segment, and
 // performs any rotation that was deferred while appends were buffered.

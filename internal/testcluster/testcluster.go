@@ -116,10 +116,9 @@ func (c *Cluster) Collect(id protocol.NodeID, out protocol.Output) {
 			}
 		}
 		if ci.Reply {
-			kind := protocol.ReplyWrite
+			kind := protocol.ReplyKindFor(ci.Entry.Cmd)
 			var val []byte
-			if ci.Entry.Cmd.Op == protocol.OpGet {
-				kind = protocol.ReplyRead
+			if kind == protocol.ReplyRead {
 				val = c.KV[id][ci.Entry.Cmd.Key]
 			}
 			c.Replies = append(c.Replies, protocol.ClientReply{
